@@ -1,19 +1,11 @@
-"""Thread-vs-process backend timing and out-of-core RSS comparison.
+"""Top-k scan timing and out-of-core RSS comparison.
 
 Standalone script (not a pytest-benchmark suite) with two halves:
 
-* **GIL-bound kernel timing** — the top-k scan over precomputed GSim+
-  factors with a tiny ``block_rows``, so per-row Python work (argpartition,
-  heap candidates) dominates and shard payloads are tiny (a k-heap per
-  shard).  Measured serial, with 2 worker threads, and with 2 worker
-  processes, in interleaved rounds so host noise hits every variant
-  equally.  When ``/dev/shm`` exists, factor spills go through it, making
-  descriptor shipping an in-memory transport.  On a multi-core host the
-  thread variant plateaus at the GIL while processes scale with cores;
-  on a single-core host the expected signature is parity (GIL handoff
-  and IPC overheads are both small and neither backend can physically
-  overlap shards) — ``machine_info.cpu_count`` records which regime
-  produced the committed numbers.
+* **Scan timing** — the serial, norm-pruned top-k pair scan over
+  precomputed GSim+ factors with a tiny ``block_rows``, so per-block
+  Python work (selection, candidate merges) is a visible share of the
+  time.
 * **Resident-set comparison** — the same blocked SpMM workload run in
   two fresh child processes over the same converted multi-million-edge
   artifact: one materialises the CSR arrays on the heap, one keeps them
@@ -45,8 +37,7 @@ import numpy as np
 
 FULLNAME = "benchmarks/bench_scale.py::{name}"
 
-# Timing half: factors from a synthetic rmat pair, then a scan whose
-# per-shard result is a k-heap (tiny pickle payload either way).
+# Timing half: factors from a synthetic rmat pair, then the pair scan.
 TIMING_SCALE_A = 15
 TIMING_SCALE_B = 13
 TIMING_EDGES_A = 240_000
@@ -101,63 +92,36 @@ def _bench_entry(name: str, samples: list[float], **extra) -> dict:
 def run_timing() -> list[dict]:
     from repro.core.topk import _factors_for, scan_top_pairs
     from repro.graphs.generators import rmat_graph
-    from repro.runtime import WorkerPool
 
     print("building factors for the scan kernel ...", file=sys.stderr)
     graph_a = rmat_graph(TIMING_SCALE_A, TIMING_EDGES_A, seed=31, name="bench-A")
     graph_b = rmat_graph(TIMING_SCALE_B, TIMING_EDGES_B, seed=32, name="bench-B")
     factors = _factors_for(graph_a, graph_b, TIMING_ITERATIONS)
 
-    def one(pool) -> float:
+    def one() -> float:
         start = time.perf_counter()
-        scan_top_pairs(
-            factors,
-            k=TIMING_K,
-            block_rows=TIMING_BLOCK_ROWS,
-            max_workers=pool,
-        )
+        scan_top_pairs(factors, k=TIMING_K, block_rows=TIMING_BLOCK_ROWS)
         return time.perf_counter() - start
 
-    variants = {
-        "topk_scan_serial": None,
-        "topk_scan_thread_workers2": WorkerPool(max_workers=2, backend="thread"),
-        "topk_scan_process_workers2": WorkerPool(max_workers=2, backend="process"),
-    }
-    samples: dict[str, list[float]] = {name: [] for name in variants}
-    try:
-        for pool in variants.values():
-            one(pool)  # warm-up: primes the process pool and page cache
-        # Interleave rounds so host-level noise (frequency scaling,
-        # neighbours) is shared across variants instead of biasing
-        # whichever one ran last.
-        for _ in range(ROUNDS):
-            for name, pool in variants.items():
-                samples[name].append(one(pool))
-    finally:
-        for pool in variants.values():
-            if pool is not None:
-                pool.shutdown()
-
-    entries = []
-    for name, pool in variants.items():
-        entries.append(
-            _bench_entry(
-                name,
-                samples[name],
-                backend=pool.backend if pool is not None else "serial",
-                workers=pool.max_workers if pool is not None else 1,
-                rows=int(factors.shape[0]),
-                cols=int(factors.shape[1]),
-                width=int(factors.width),
-                block_rows=TIMING_BLOCK_ROWS,
-            )
+    name = "topk_scan_serial"
+    one()  # warm-up: primes the page cache
+    samples = [one() for _ in range(ROUNDS)]
+    print(
+        f"{name}: median {statistics.median(samples):.3f}s over {ROUNDS} rounds",
+        file=sys.stderr,
+    )
+    return [
+        _bench_entry(
+            name,
+            samples,
+            backend="serial",
+            workers=1,
+            rows=int(factors.shape[0]),
+            cols=int(factors.shape[1]),
+            width=int(factors.width),
+            block_rows=TIMING_BLOCK_ROWS,
         )
-        print(
-            f"{name}: median {statistics.median(samples[name]):.3f}s "
-            f"over {ROUNDS} interleaved rounds",
-            file=sys.stderr,
-        )
-    return entries
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +215,8 @@ def run_rss(script: Path) -> dict:
     from repro.graphs.generators import rmat_graph
 
     results = {}
-    # Keep the artifact on disk even when factor spills use /dev/shm:
-    # the RSS comparison is about paging against a disk-backed file.
+    # Keep the artifact on disk: the RSS comparison is about paging
+    # against a disk-backed file.
     scratch_dir = "/var/tmp" if os.path.isdir("/var/tmp") else None
     with tempfile.TemporaryDirectory(
         prefix="bench-scale-", dir=scratch_dir
@@ -291,11 +255,6 @@ def main(argv: list[str]) -> int:
     if len(argv) >= 3 and argv[0] == "--child":
         return child_main(argv[1], argv[2])
 
-    # Spill factor blocks through shared memory when the host offers it:
-    # descriptor shipping then never touches a disk.
-    if os.path.isdir("/dev/shm") and os.access("/dev/shm", os.W_OK):
-        tempfile.tempdir = "/dev/shm"
-
     out = Path(argv[0]) if argv else Path("results/BENCH_scale.json")
     script = Path(__file__).resolve()
 
@@ -317,14 +276,7 @@ def main(argv: list[str]) -> int:
             "processor": platform.processor(),
             "python_version": platform.python_version(),
             "cpu_count": cpu_count,
-            "note": (
-                "single-core host: thread and process backends measure at "
-                "parity on the GIL-bound scan (neither can overlap shards); "
-                "with >1 core the thread variant plateaus at the GIL while "
-                "the process variant scales"
-            )
-            if cpu_count == 1
-            else "multi-core host",
+            "note": "single-core host" if cpu_count == 1 else "multi-core host",
         },
         "config": {
             "timing": {

@@ -4,20 +4,17 @@ An R-MAT pair sized so the blocked top-k scan dominates (n_A + n_B ≈
 20k nodes): the factors are prebuilt once, so every benchmark times only
 the kernel under study.
 
-Three comparisons land in ``results/BENCH_core.json``:
+Two comparisons land in ``results/BENCH_core.json``:
 
 * **legacy vs vectorised selection** — the pre-worker-pool scan loops
   (full ``np.argsort`` block sorts + per-entry Python heap pushes, and
   per-row full sorts for query rankings) against the
   ``np.argpartition``-based replacements.  This is the algorithmic win;
   it holds on a single core.
-* **serial vs ``max_workers`` ∈ {2, 4}** — the same scan through
-  :class:`repro.runtime.WorkerPool`.  Thread scaling only materialises
-  on multi-core hosts; on a single-CPU runner these entries document
-  the (small) sharding overhead instead.  Results are asserted
-  equivalent in every case.
 * **factor step serial vs sharded** — the row-sharded SpMM doubling
-  step.
+  step through :class:`repro.runtime.WorkerPool`.
+
+The pair scan is serial and norm-pruned, so it has no worker variants.
 
 Run via ``make bench`` (pinned BLAS thread env) to refresh the JSON.
 """
@@ -104,24 +101,12 @@ def test_scan_legacy_fullsort(benchmark, factors):
 def test_scan_vectorized_serial(benchmark, factors):
     result = benchmark.pedantic(
         scan_top_pairs, args=(factors, K_PAIRS),
-        kwargs={"block_rows": BLOCK_ROWS, "max_workers": 1},
+        kwargs={"block_rows": BLOCK_ROWS},
         rounds=3, warmup_rounds=1,
     )
     assert len(result) == K_PAIRS
     legacy = _legacy_top_k_pairs(factors, K_PAIRS, BLOCK_ROWS)
     assert np.allclose(_scores(result), _scores(legacy))
-
-
-@pytest.mark.parametrize("workers", [2, 4])
-def test_scan_vectorized_workers(benchmark, factors, workers):
-    result = benchmark.pedantic(
-        scan_top_pairs, args=(factors, K_PAIRS),
-        kwargs={"block_rows": BLOCK_ROWS, "max_workers": workers},
-        rounds=3, warmup_rounds=1,
-    )
-    assert result == scan_top_pairs(
-        factors, K_PAIRS, block_rows=BLOCK_ROWS, max_workers=1
-    )
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,11 @@ with:
   under a hard memory bound, for exhaustive consumers (exports, rank
   scans) that must never materialise ``n_A x n_B``.
 
+Factor rows that are exactly zero contribute nothing to any block, and
+GSim+ factors have many (the nodes no walk reaches).  The engine finds
+them once, at construction, and ``query`` multiplies only the non-zero
+rows and columns of each block into a zero-filled result.
+
 Both entry points accept an optional
 :class:`repro.runtime.ExecutionContext`: each served block is a
 checkpoint (deadline/cancellation polled, block bytes charged against the
@@ -26,11 +31,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.embeddings import LowRankFactors
+from repro.core.embeddings import LowRankFactors, nonzero_rows
+from repro.core.topk import NonzeroRows
 from repro.runtime import ExecutionContext
 from repro.runtime.parallel import WorkerPool
 from repro.runtime.trace import NULL_TRACER
-from repro.utils.validation import check_positive_integer
+from repro.utils.validation import check_positive_integer, resolve_node_index
 
 __all__ = ["BatchQueryEngine"]
 
@@ -67,6 +73,11 @@ class BatchQueryEngine:
         self._global_norm = factors.frobenius_norm(include_scale=False)
         if self._global_norm == 0.0:
             raise ZeroDivisionError("factors represent the zero matrix")
+        self._u_live = nonzero_rows(factors.u)
+        self._v_targets = NonzeroRows.of(factors.v)
+        # Position of each G_B node's row in the contiguous copy, or -1.
+        self._v_slot = np.full(factors.shape[1], -1, dtype=np.int64)
+        self._v_slot[self._v_targets.ids] = np.arange(self._v_targets.ids.size)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -77,6 +88,32 @@ class BatchQueryEngine:
     def global_norm(self) -> float:
         """``||Z||_F`` of the represented (unnormalised) similarity."""
         return self._global_norm
+
+    @property
+    def v_targets(self) -> NonzeroRows:
+        """V's non-zero rows (ids, contiguous copy) and its zero rows' ids."""
+        return self._v_targets
+
+    def _live_block(
+        self, queries_a: object, queries_b: object
+    ) -> tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray]:
+        """The block's shape, the positions of its non-zero rows and
+        columns, and the unnormalised product of those rows and columns."""
+        n_a, n_b = self._factors.shape
+        rows = resolve_node_index(
+            queries_a, n_a, "row index", allow_empty=True, allow_duplicates=True
+        )
+        cols = resolve_node_index(
+            queries_b, n_b, "column index", allow_empty=True, allow_duplicates=True
+        )
+        live_rows = np.flatnonzero(self._u_live[rows])
+        slots = self._v_slot[cols]
+        live_cols = np.flatnonzero(slots >= 0)
+        live = (
+            self._factors.u[rows[live_rows]]
+            @ self._v_targets.rows[slots[live_cols]].T
+        )
+        return (rows.size, cols.size), live_rows, live_cols, live
 
     def query(
         self,
@@ -90,28 +127,35 @@ class BatchQueryEngine:
         tracer = context.tracer if context is not None else NULL_TRACER
         start = time.perf_counter()
         with tracer.span("batch.query_block") as span:
-            block = self._factors.query_block(
-                queries_a, queries_b, include_scale=False
+            shape, live_rows, live_cols, live = self._live_block(
+                queries_a, queries_b
             )
-            span.set_attribute("cells", int(block.size))
+            cells = shape[0] * shape[1]
+            span.set_attribute("cells", cells)
             if self._normalization == "block":
-                denominator = float(np.linalg.norm(block))
+                denominator = float(np.linalg.norm(live))
                 if denominator == 0.0:
                     raise ZeroDivisionError("query block has zero norm")
             else:
                 denominator = self._global_norm
+            live /= denominator
+            if live.shape == shape:
+                block = live
+            else:
+                block = np.zeros(shape, dtype=live.dtype)
+                block[np.ix_(live_rows, live_cols)] = live
             if context is not None:
                 context.metrics.increment("batch.blocks_served")
-                context.metrics.increment("batch.cells_served", block.size)
+                context.metrics.increment("batch.cells_served", cells)
                 if context.slow_queries is not None:
                     context.slow_queries.maybe_record(
                         "batch.query_block",
                         time.perf_counter() - start,
-                        cells=int(block.size),
+                        cells=cells,
                         width=self._factors.width,
                         span_id=getattr(span, "span_id", None),
                     )
-            return block / denominator
+            return block
 
     def query_many(
         self,

@@ -2,22 +2,24 @@
 
 The paper's title speaks of *retrieval*: applications rarely want the full
 ``n_A x n_B`` matrix — they want the most similar pairs.  With GSim+'s
-factors that can be answered without materialising the matrix: the
-candidate rows are scanned in blocks of bounded size, keeping a running
-k-best candidate set, so memory stays ``O(block_rows * n_B + k)`` no
-matter how large ``n_A`` grows.
+factors that can be answered without materialising the matrix, and
+mostly without scoring it: the factor rows are node embeddings, and the
+Cauchy-Schwarz bound ``|u_i . v_j| <= ||u_i|| ||v_j||`` proves most cells
+unable to place.  The pair scan visits U's rows in descending norm order,
+scores each row block only against the prefix of V's rows whose bound
+survives, and stops at the first row whose bound falls below the running
+k-th score.  Memory stays ``O(block_rows * n_B + k)`` however large
+``n_A`` grows.  The scan is exact; when every row norm is equal nothing
+prunes, and it scores every cell once.
 
-Selection inside a block is vectorised: ``np.argpartition`` finds the
-k-th score in linear time, every entry tied with it is kept, and only the
-surviving candidates are sorted — ``O(rows * n_B + k log k)`` per block
-instead of the full ``O(rows * n_B log(rows * n_B))`` sort.
+Selection inside a block is vectorised: ``np.partition`` finds the k-th
+score in linear time, every entry within rounding of it is kept, and only
+the surviving candidates are sorted.
 
 Ordering is canonical everywhere: score descending, then lowest
-``node_a``, then lowest ``node_b``.  Because candidate merges select by
-that total order over values (not by arrival order), the result is
-independent of block size and of worker count — the parallel scan splits
-rows into contiguous per-worker ranges, each keeps a local k-best set,
-and the final merge re-selects the global top k deterministically.
+``node_a``, then lowest ``node_b``.  Candidate merges select by that total
+order over values (not by arrival order), and ranked scores come from one
+fixed kernel, so the result is independent of block size.
 
 Entry points:
 
@@ -25,30 +27,41 @@ Entry points:
 * :func:`top_k_for_queries` — per-query-node ranking (the "find the most
   similar nodes in the other graph" primitive of the synonym-extraction
   and community-matching applications).
-* :func:`scan_top_pairs` — the scan engine over prebuilt factors, shared
+* :func:`scan_top_pairs` — the pruned scan over prebuilt factors, shared
   with :class:`repro.retrieval.GSimIndex`.
+* :func:`rank_row` — one row's ``k`` best columns, scored against V's
+  non-zero rows only; shared with ``GSimIndex.top_matches``.
 """
 
 from __future__ import annotations
 
+import bisect
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.embeddings import LowRankFactors
+from repro.core.embeddings import LowRankFactors, nonzero_rows, row_norms
 from repro.core.gsim_plus import GSimPlus
 from repro.graphs.graph import Graph
 from repro.runtime import ExecutionContext
 from repro.runtime import procpool
-from repro.runtime.parallel import WorkerPool, shard_ranges
+from repro.runtime.parallel import WorkerPool
 from repro.runtime.trace import NULL_TRACER
 from repro.utils.memory import dense_matrix_bytes
 from repro.utils.validation import check_positive_integer, resolve_node_index
 
-__all__ = ["ScoredPair", "scan_top_pairs", "top_k_for_queries", "top_k_pairs"]
+__all__ = [
+    "NonzeroRows",
+    "ScoredPair",
+    "rank_row",
+    "scan_top_pairs",
+    "top_k_for_queries",
+    "top_k_pairs",
+]
 
 
 @dataclass(frozen=True)
@@ -115,106 +128,186 @@ def _row_top_k(row: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.lexsort((candidates, -row[candidates]))[:k]]
 
 
-def _scan_range(
+class NonzeroRows(NamedTuple):
+    """A factor's non-zero rows: their ids, a contiguous copy of those
+    rows, and the ids of its zero rows, both id lists ascending."""
+
+    ids: np.ndarray
+    rows: np.ndarray
+    zero_ids: np.ndarray
+
+    @classmethod
+    def of(cls, factor: np.ndarray) -> "NonzeroRows":
+        """Split the rows of ``factor``."""
+        live = nonzero_rows(factor)
+        ids = np.flatnonzero(live)
+        return cls(ids, np.ascontiguousarray(factor[ids]), np.flatnonzero(~live))
+
+
+def rank_row(
+    u_row: np.ndarray, targets: NonzeroRows, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` best ``(columns, raw scores)`` of one similarity row.
+
+    ``u_row`` is scored against the non-zero rows of V only.  Every zero
+    row of V scores exactly 0, so its lowest ids are the only ones that
+    can place.  The order is ``np.argsort(-row, kind="stable")[:k]`` of
+    the full row: score descending, then lowest column.
+    """
+    scores = targets.rows @ u_row
+    best = _row_top_k(scores, k)
+    cols, values = targets.ids[best], scores[best]
+    zeros = targets.zero_ids[:k]
+    if zeros.size and (cols.size < k or values[-1] <= 0):
+        cols = np.concatenate([cols, zeros])
+        values = np.concatenate([values, np.zeros(zeros.size, values.dtype)])
+        order = np.lexsort((cols, -values))[:k]
+        cols, values = cols[order], values[order]
+    return cols, values
+
+
+def _pair_scores(
+    u: np.ndarray, v: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """``u[rows[t]] . v[cols[t]]`` for every ``t``, by one fixed kernel.
+
+    BLAS rounds a product differently depending on the shape of the
+    block it computes, so the pair scan ranks by these scores instead:
+    products summed in column order, the same for every block shape.
+    """
+    products = u[rows] * v[cols]
+    scores = products[:, 0].copy()
+    for column in range(1, products.shape[1]):
+        scores += products[:, column]
+    return scores
+
+
+def _pruned_scan(
     u: np.ndarray,
-    v_t: np.ndarray,
-    start: int,
-    stop: int,
+    v: np.ndarray,
     k: int,
     block_rows: int,
     context: ExecutionContext | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scan rows ``[start, stop)`` in bounded blocks; return the range's
-    k-best candidates as ``(scores, rows, cols)`` arrays.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """The exact ``k`` best cells of ``U V^T``, visiting rows by norm.
 
-    The running candidate set is exact under truncation: rows are scanned
-    in ascending order, so an entry tying the current k-th score always
-    loses the ``(row, col)`` tie-break to every retained entry and can be
-    dropped; anything below the k-th score is dominated forever.
+    Returns ``(scores, rows, cols, rows_scored, cells_scored)``.
+
+    Rows of U are visited in descending norm order, and each row block is
+    scored against the prefix of V's rows (also in descending norm order)
+    whose Cauchy-Schwarz bound ``||u_i|| ||v_j||`` reaches the running
+    k-th score; the scan stops at the first row whose bound against V's
+    largest row falls below it.  Bounds are padded by ``rho`` times
+    ``||u_i|| ||v_j||``, ``rho = 2 (w + 2) eps``, which exceeds the
+    rounding of a dot product (``w eps / 2``), of the two norms (at most
+    ``(w/4 + 2) eps`` each, see :func:`row_norms`) and of the bound
+    itself, and also the ``w eps`` by which two dot-product kernels can
+    differ.  So no pruned cell can score at or above the k-th score, and
+    ties still reach the canonical merge.  Bounds prune only once the
+    k-th score is positive.
+
+    Each block is scored by BLAS, whose rounding varies with the block
+    shape; the cells within rounding of the running k-th score (or of
+    the block's own k-th) are then re-scored by :func:`_pair_scores`, and
+    only those scores are ranked.  The result therefore does not depend
+    on ``block_rows``.  If every row norm is equal, nothing prunes and
+    the scan scores every cell once.
     """
-    n_b = v_t.shape[1]
-    itemsize = v_t.dtype.itemsize
-    best_scores = np.empty(0, dtype=np.float64)
+    n_a, n_b = u.shape[0], v.shape[0]
+    u_norms = row_norms(u)
+    row_order = np.argsort(-u_norms, kind="stable")
+    u_norms = u_norms[row_order]
+    v_norms = row_norms(v)
+    col_order = np.argsort(-v_norms, kind="stable")
+    v_norms = v_norms[col_order]
+    v_t = np.ascontiguousarray(v[col_order].T)
+    rho = 2.0 * (u.shape[1] + 2) * float(np.finfo(u.dtype).eps)
+    grow = 1.0 + rho
+    v_top = float(v_norms[0]) if n_b else 0.0
+
+    best_scores = np.empty(0, dtype=u.dtype)
     best_rows = np.empty(0, dtype=np.int64)
     best_cols = np.empty(0, dtype=np.int64)
     threshold = -np.inf
-    for block_start in range(start, stop, block_rows):
-        block_stop = min(block_start + block_rows, stop)
-        block_bytes = dense_matrix_bytes(
-            block_stop - block_start, n_b, itemsize=itemsize
-        )
-        if context is not None:
-            context.checkpoint(f"top_k_pairs scan at row {block_start}")
-            context.metrics.increment("topk.blocks_scanned")
-            context.metrics.increment(
-                "topk.rows_scanned", block_stop - block_start
+    start, stop, prefix = 0, n_a, n_b
+    rows_scored = cells_scored = 0
+    while start < stop:
+        # Until a k-th score exists, score about k cells at a time: the
+        # first threshold then costs one small selection, not a full block.
+        step = block_rows if threshold > -np.inf else -(-k // max(prefix, 1))
+        end = min(start + min(step, block_rows), stop)
+        top = float(u_norms[start]) * grow
+        if threshold > 0:
+            prefix = bisect.bisect_left(
+                v_norms, True, 0, prefix, key=lambda n: top * n < threshold
             )
+        block = row_order[start:end]
+        block_bytes = dense_matrix_bytes(block.size, prefix, itemsize=u.itemsize)
+        rows_scored += block.size
+        cells_scored += block.size * prefix
+        if context is not None:
+            context.checkpoint(f"top_k_pairs scan at row {start}")
+            context.metrics.increment("topk.blocks_scanned")
+            context.metrics.increment("topk.rows_scanned", block.size)
+            context.metrics.increment("topk.cells_scored", block.size * prefix)
             context.charge(block_bytes, "top-k scan block")
         try:
-            flat = (u[block_start:block_stop] @ v_t).ravel()
-            # Candidates: everything that can still reach the top k.  The
-            # >= keeps score ties with the current k-th entry, so the merge
-            # below decides them by the canonical order, never by arrival.
+            flat = (u[block] @ v_t[:, :prefix]).ravel()
+            # Bounds |BLAS score - _pair_scores score| for every cell here.
+            slack = rho * float(u_norms[start]) * v_top
             if threshold > -np.inf:
-                candidates = np.flatnonzero(flat >= threshold)
+                candidates = np.flatnonzero(flat >= threshold - slack)
+                values = flat[candidates]
             else:
-                candidates = np.arange(flat.size)
-            values = flat[candidates]
+                candidates, values = np.arange(flat.size), flat
         finally:
             if context is not None:
                 context.release(block_bytes)
         if values.size > k:
-            kth = values[np.argpartition(-values, k - 1)[k - 1]]
-            keep = values >= kth
-            candidates = candidates[keep]
-            values = values[keep]
+            kth = -np.partition(-values, k - 1)[k - 1]
+            candidates = candidates[values >= kth - 2.0 * slack]
+        start = end
         if candidates.size == 0:
             continue
-        merged_scores = np.concatenate([best_scores, values])
-        merged_rows = np.concatenate(
-            [best_rows, block_start + candidates // n_b]
-        )
-        merged_cols = np.concatenate([best_cols, candidates % n_b])
+        rows = block[candidates // prefix]
+        cols = col_order[candidates % prefix]
+        merged_scores = np.concatenate([best_scores, _pair_scores(u, v, rows, cols)])
+        merged_rows = np.concatenate([best_rows, rows])
+        merged_cols = np.concatenate([best_cols, cols])
         order = _canonical_top_k(merged_scores, merged_rows, merged_cols, k)
         best_scores = merged_scores[order]
         best_rows = merged_rows[order]
         best_cols = merged_cols[order]
         if best_scores.size == k:
             threshold = float(best_scores[-1])
-    return best_scores, best_rows, best_cols
+        if threshold > 0:
+            stop = bisect.bisect_left(
+                u_norms, True, start, stop,
+                key=lambda n: n * grow * v_top < threshold,
+            )
+    return best_scores, best_rows, best_cols, rows_scored, cells_scored
 
 
 # ----------------------------------------------------------------------
-# Process-pool worker tasks (module level: picklable under fork and spawn).
-# Inputs arrive as (path, range) descriptors; only the k-best survivors —
+# Process-pool worker task (module level: picklable under fork and spawn).
+# Inputs arrive as (path, range) descriptors; only each query's k best —
 # a few hundred bytes — travel back through pickle.
 # ----------------------------------------------------------------------
-def _scan_pairs_task(
-    task: "tuple[procpool.ArrayRef, procpool.ArrayRef, int, int, int, int]",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One contiguous row range of the pair scan, in a pool process —
-    the identical :func:`_scan_range` kernel the thread path runs."""
-    u_ref, v_t_ref, start, stop, k, block_rows = task
-    u = procpool.load_ref(u_ref)
-    v_t = procpool.load_ref(v_t_ref)
-    return _scan_range(u, v_t, start, stop, k, block_rows, None)
-
-
 def _scan_queries_task(
-    task: "tuple[procpool.ArrayRef, procpool.ArrayRef, procpool.ArrayRef, int, int, int]",
+    task: "tuple[procpool.ArrayRef, ...]",
 ) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """One query chunk of the per-query scan, in a pool process."""
-    u_ref, v_t_ref, rows_ref, start, stop, k = task
+    u_ref, ids_ref, rows_ref, zero_ref, queries_ref, start, stop, k = task
     u = procpool.load_ref(u_ref)
-    v_t = procpool.load_ref(v_t_ref)
-    rows = procpool.load_ref(rows_ref)
-    chunk = rows[start:stop]
-    block = u[chunk] @ v_t
-    out = []
-    for i, node_a in enumerate(chunk):
-        order = _row_top_k(block[i], k)
-        out.append((int(node_a), order, block[i, order]))
-    return out
+    targets = NonzeroRows(
+        procpool.load_ref(ids_ref),
+        procpool.load_ref(rows_ref),
+        procpool.load_ref(zero_ref),
+    )
+    queries = procpool.load_ref(queries_ref)
+    return [
+        (int(node), *rank_row(u[node], targets, k)) for node in queries[start:stop]
+    ]
 
 
 def scan_top_pairs(
@@ -222,74 +315,37 @@ def scan_top_pairs(
     k: int,
     block_rows: int = 1024,
     context: ExecutionContext | None = None,
-    max_workers: "WorkerPool | int | None" = None,
-    score_scale: float = 1.0,
-    backend: str = "thread",
+    norm: float = 1.0,
 ) -> list[ScoredPair]:
     """The ``k`` best pairs of a prebuilt factor pair.
 
-    ``score_scale`` multiplies the raw factored scores in the returned
-    pairs (callers pass ``1 / ||Z||_F`` for normalised scores); the
-    ranking itself uses the raw scores, so any positive scale yields the
-    same pairs.  With ``max_workers > 1`` the rows split into contiguous
-    per-worker ranges whose local k-best sets are merged by the canonical
-    ``(-score, node_a, node_b)`` order — results are identical for every
-    worker count and block size.
+    Returned scores are the factored scores divided by ``norm`` (callers
+    pass ``||Z||_F`` for normalised scores); any positive ``norm`` yields
+    the same pairs.  The scan is exact and output-sensitive: rows are
+    visited in descending norm order and cells that their norm bounds
+    prove unable to place are never scored (see :func:`_pruned_scan`).
+    Ties break by lowest ``node_a`` then ``node_b``, and the result is
+    identical for every ``block_rows``.
     """
     k = check_positive_integer(k, "k")
     block_rows = check_positive_integer(block_rows, "block_rows")
     n_a, n_b = factors.shape
     k = min(k, n_a * n_b)
-    pool = WorkerPool.resolve(max_workers, backend=backend)
-    v_t = np.ascontiguousarray(factors.v.T)
-    u = factors.u
     tracer = context.tracer if context is not None else NULL_TRACER
-
-    def _scan(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        start, stop = bounds
-        return _scan_range(u, v_t, start, stop, k, block_rows, context)
-
-    def _map_ranges() -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        bounds = shard_ranges(n_a, pool.max_workers)
-        if not pool.process_parallel:
-            return pool.map(
-                _scan, bounds, context=context, what="top-k pair scan"
-            )
-        # Process backend: spill the two factor operands once, ship
-        # (descriptor, row range) tasks, get back only each range's
-        # k-best candidates.  Same kernel and canonical merge order, so
-        # the result is bit-identical to the thread and serial scans.
-        with tempfile.TemporaryDirectory(prefix="gsimplus-topk-") as scratch:
-            u_ref = procpool.spill_array(u, Path(scratch) / "u.npy")
-            v_t_ref = procpool.spill_array(v_t, Path(scratch) / "v_t.npy")
-            tasks = [
-                (u_ref, v_t_ref, start, stop, k, block_rows)
-                for start, stop in bounds
-            ]
-            if context is not None:
-                context.metrics.increment(
-                    "topk.rows_scanned", n_a
-                )
-            return pool.map(
-                _scan_pairs_task, tasks, context=context, what="top-k pair scan"
-            )
-
     start_time = time.perf_counter()
     with tracer.span("topk.scan_pairs") as span:
         span.set_attribute("k", k)
         span.set_attribute("rows", n_a)
         span.set_attribute("cols", n_b)
         try:
-            parts = _map_ranges()
-            if not parts:
-                return []
-            scores = np.concatenate([part[0] for part in parts])
-            rows = np.concatenate([part[1] for part in parts])
-            cols = np.concatenate([part[2] for part in parts])
-            order = _canonical_top_k(scores, rows, cols, k)
+            scores, rows, cols, rows_scored, cells_scored = _pruned_scan(
+                factors.u, factors.v, k, block_rows, context
+            )
+            span.set_attribute("rows_scored", rows_scored)
+            span.set_attribute("cells_scored", cells_scored)
             return [
-                ScoredPair(int(rows[i]), int(cols[i]), float(scores[i]) * score_scale)
-                for i in order
+                ScoredPair(int(row), int(col), float(score) / norm)
+                for score, row, col in zip(scores, rows, cols)
             ]
         finally:
             if context is not None:
@@ -303,7 +359,6 @@ def scan_top_pairs(
                         rows=int(n_a),
                         cols=int(n_b),
                         width=factors.width,
-                        workers=pool.max_workers,
                         span_id=getattr(span, "span_id", None),
                     )
 
@@ -322,12 +377,13 @@ def top_k_pairs(
 ) -> list[ScoredPair]:
     """The ``k`` highest-similarity cross-graph pairs.
 
-    Scores are the *unnormalised* factored products; the ordering is
-    identical to the normalised similarity (normalisation is a positive
-    scalar), and returned scores are rescaled to unit Frobenius norm for
+    Pairs are ranked by their *unnormalised* factored scores; the ordering
+    is identical to the normalised similarity (normalisation is a positive
+    scalar), and returned scores are divided by ``||Z||_F`` for
     interpretability.  Ties are broken by lowest ``node_a`` then lowest
-    ``node_b``; the result is independent of ``block_rows`` and
-    ``max_workers``.
+    ``node_b``; the result is independent of ``block_rows``.
+    ``max_workers`` and ``backend`` apply to the build; the pair scan
+    itself is serial and pruned (see :func:`scan_top_pairs`).
 
     Examples
     --------
@@ -354,13 +410,7 @@ def top_k_pairs(
     if norm == 0.0:
         raise ZeroDivisionError("similarity collapsed to zero; no ranking exists")
     return scan_top_pairs(
-        factors,
-        k,
-        block_rows=block_rows,
-        context=context,
-        max_workers=max_workers,
-        score_scale=1.0 / norm,
-        backend=backend,
+        factors, k, block_rows=block_rows, context=context, norm=norm
     )
 
 
@@ -380,10 +430,11 @@ def top_k_for_queries(
     """For each query node of ``G_A``, its ``k`` best matches in ``G_B``.
 
     Returns a mapping ``query node -> ranked ScoredPair list`` (ties broken
-    by node id for determinism).  Query rows are scored in blocks of at
-    most ``block_rows``, so memory stays ``O(block_rows * n_B)`` however
-    large the query set is — each block's working set is charged against
-    the context's memory ledger and released after the block.
+    by node id for determinism).  Each query row is scored against V's
+    non-zero rows only and ranked by :func:`rank_row`, so the answers are
+    those of :meth:`repro.retrieval.GSimIndex.top_matches`.  Queries are
+    handed out in chunks of ``block_rows``; each chunk is a checkpoint of
+    ``context`` and charges its one-row working set against the ledger.
     """
     k = check_positive_integer(k, "k")
     block_rows = check_positive_integer(block_rows, "block_rows")
@@ -397,63 +448,65 @@ def top_k_for_queries(
         precision=precision,
         backend=backend,
     )
-    rows = resolve_node_index(
+    queries = resolve_node_index(
         queries_a, factors.shape[0], "queries_a",
         allow_empty=True, allow_duplicates=True,
     )
-    n_b = factors.shape[1]
-    k = min(k, n_b)
+    k = min(k, factors.shape[1])
     norm = factors.frobenius_norm(include_scale=False)
     if norm == 0.0:
         raise ZeroDivisionError("similarity collapsed to zero; no ranking exists")
     pool = WorkerPool.resolve(max_workers, backend=backend)
-    v_t = np.ascontiguousarray(factors.v.T)
     u = factors.u
+    targets = NonzeroRows.of(factors.v)
+    row_bytes = dense_matrix_bytes(1, targets.ids.size, itemsize=u.itemsize)
 
     def _scan_chunk(
         bounds: tuple[int, int],
     ) -> list[tuple[int, np.ndarray, np.ndarray]]:
         start, stop = bounds
-        chunk = rows[start:stop]
-        block_bytes = dense_matrix_bytes(
-            chunk.size, n_b, itemsize=v_t.dtype.itemsize
-        )
+        chunk = queries[start:stop]
         if context is not None:
             context.checkpoint(f"top_k_for_queries scan at query {start}")
             context.metrics.increment("topk.blocks_scanned")
             context.metrics.increment("topk.rows_scanned", int(chunk.size))
-            context.charge(block_bytes, "top-k query block")
+            context.metrics.increment(
+                "topk.cells_scored", int(chunk.size) * targets.ids.size
+            )
+            context.charge(row_bytes, "top-k query row")
         try:
-            block = u[chunk] @ v_t
-            out = []
-            for i, node_a in enumerate(chunk):
-                order = _row_top_k(block[i], k)
-                # Copy only the k survivors so the full block can be freed.
-                out.append((int(node_a), order, block[i, order]))
-            return out
+            return [(int(node), *rank_row(u[node], targets, k)) for node in chunk]
         finally:
             if context is not None:
-                context.release(block_bytes)
+                context.release(row_bytes)
 
     chunk_bounds = [
-        (start, min(start + block_rows, rows.size))
-        for start in range(0, rows.size, block_rows)
+        (start, min(start + block_rows, queries.size))
+        for start in range(0, queries.size, block_rows)
     ]
+
     def _map_chunks() -> list[list[tuple[int, np.ndarray, np.ndarray]]]:
         if not (pool.process_parallel and chunk_bounds):
             return pool.map(
                 _scan_chunk, chunk_bounds, context=context, what="top-k query scan"
             )
         with tempfile.TemporaryDirectory(prefix="gsimplus-topk-") as scratch:
-            u_ref = procpool.spill_array(u, Path(scratch) / "u.npy")
-            v_t_ref = procpool.spill_array(v_t, Path(scratch) / "v_t.npy")
-            rows_ref = procpool.spill_array(rows, Path(scratch) / "rows.npy")
-            tasks = [
-                (u_ref, v_t_ref, rows_ref, start, stop, k)
-                for start, stop in chunk_bounds
+            refs = [
+                procpool.spill_array(array, Path(scratch) / f"{name}.npy")
+                for name, array in (
+                    ("u", u),
+                    ("ids", targets.ids),
+                    ("rows", targets.rows),
+                    ("zero_ids", targets.zero_ids),
+                    ("queries", queries),
+                )
             ]
+            tasks = [(*refs, start, stop, k) for start, stop in chunk_bounds]
             if context is not None:
-                context.metrics.increment("topk.rows_scanned", int(rows.size))
+                context.metrics.increment("topk.rows_scanned", int(queries.size))
+                context.metrics.increment(
+                    "topk.cells_scored", int(queries.size) * targets.ids.size
+                )
             return pool.map(
                 _scan_queries_task, tasks, context=context,
                 what="top-k query scan",
@@ -462,7 +515,7 @@ def top_k_for_queries(
     tracer = context.tracer if context is not None else NULL_TRACER
     start_time = time.perf_counter()
     with tracer.span("topk.query_scan") as span:
-        span.set_attribute("queries", int(rows.size))
+        span.set_attribute("queries", int(queries.size))
         span.set_attribute("k", k)
         try:
             parts = _map_chunks()
@@ -476,7 +529,7 @@ def top_k_for_queries(
                     context.slow_queries.maybe_record(
                         "topk.query_scan",
                         duration,
-                        queries=int(rows.size),
+                        queries=int(queries.size),
                         k=int(k),
                         width=factors.width,
                         workers=pool.max_workers,
@@ -484,9 +537,9 @@ def top_k_for_queries(
                     )
     results: dict[int, list[ScoredPair]] = {}
     for part in parts:
-        for node_a, order, scores in part:
+        for node_a, cols, scores in part:
             results[node_a] = [
                 ScoredPair(node_a, int(col), float(score) / norm)
-                for col, score in zip(order, scores)
+                for col, score in zip(cols, scores)
             ]
     return results

@@ -444,56 +444,61 @@ class IndexGenerationManager:
         ``force=True`` (synchronous callers) bypasses the breaker's
         refusal — it acts as the half-open probe — and re-raises build
         failures.  ``force=False`` (the worker) respects the breaker,
-        records failures, and paces itself instead of raising.
+        records failures, and paces itself instead of raising.  It
+        pauses after releasing the build lock, so a forced rebuild never
+        waits out the worker's pause.
         """
+        with self._build_lock:
+            generation, pause = self._attempt_locked(force)
+        if pause > 0:
+            with self._cond:
+                if not self._closed:
+                    self._cond.wait(pause)
+        return generation
+
+    def _attempt_locked(self, force: bool) -> tuple[IndexGeneration | None, float]:
+        """One attempt under the build lock: the installed generation (or
+        ``None``) and how long the worker should pause before the next."""
         metrics = self._context.metrics
         tracer = self._context.tracer
-        with self._build_lock:
-            if not force and not self._breaker.allow_attempt():
-                pause = self._breaker.seconds_until_probe()
-                metrics.increment("lifecycle.rebuilds_refused")
-                with self._cond:
-                    if not self._closed:
-                        self._cond.wait(min(max(pause, 0.01), 1.0))
-                self._note_breaker_state()
-                return None
-            # Re-check under the build lock: a competing rebuild_now may
-            # have already installed a generation for the current state.
-            # Forced rebuilds skip this — refresh() means rebuild, always.
-            if not force:
-                with self._cond:
-                    if self._live is not None and self._staleness_locked().fresh:
-                        self._rebuild_requested = False
-                        return None
-            try:
-                built = self._build_candidate()
-            except BaseException as exc:
-                self._breaker.record_failure()
-                self._note_breaker_state()
-                metrics.increment("lifecycle.rebuild_failures")
-                tracer.event(
-                    "lifecycle.rebuild_failed",
-                    severity="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                with self._cond:
-                    self._last_failure = f"{type(exc).__name__}: {exc}"
-                    self._failure_epoch += 1
-                    self._cond.notify_all()
-                if force:
-                    raise
-                with self._cond:
-                    if not self._closed and self._failure_pause > 0:
-                        self._cond.wait(self._failure_pause)
-                return None
-            self._breaker.record_success()
+        if not force and not self._breaker.allow_attempt():
+            metrics.increment("lifecycle.rebuilds_refused")
             self._note_breaker_state()
-            generation = self._install(*built)
-            if self._checkpoints is not None:
-                pruned = self._checkpoints.prune(keep_last=self._keep_checkpoints)
-                if pruned:
-                    metrics.increment("lifecycle.checkpoints_pruned", pruned)
-            return generation
+            return None, min(max(self._breaker.seconds_until_probe(), 0.01), 1.0)
+        # Re-check under the build lock: a competing rebuild_now may
+        # have already installed a generation for the current state.
+        # Forced rebuilds skip this — refresh() means rebuild, always.
+        if not force:
+            with self._cond:
+                if self._live is not None and self._staleness_locked().fresh:
+                    self._rebuild_requested = False
+                    return None, 0.0
+        try:
+            built = self._build_candidate()
+        except BaseException as exc:
+            self._breaker.record_failure()
+            self._note_breaker_state()
+            metrics.increment("lifecycle.rebuild_failures")
+            tracer.event(
+                "lifecycle.rebuild_failed",
+                severity="error",
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            with self._cond:
+                self._last_failure = f"{type(exc).__name__}: {exc}"
+                self._failure_epoch += 1
+                self._cond.notify_all()
+            if force:
+                raise
+            return None, self._failure_pause
+        self._breaker.record_success()
+        self._note_breaker_state()
+        generation = self._install(*built)
+        if self._checkpoints is not None:
+            pruned = self._checkpoints.prune(keep_last=self._keep_checkpoints)
+            if pruned:
+                metrics.increment("lifecycle.checkpoints_pruned", pruned)
+        return generation, 0.0
 
     def _build_candidate(self):
         """Build an index for the graphs' current state (not installed)."""

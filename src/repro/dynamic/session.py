@@ -280,21 +280,18 @@ class SimilaritySession:
     def top_matches(
         self, node_a: int, k: int = 5, policy: str | None = None
     ) -> list[tuple[int, float]]:
-        """The ``k`` most similar G_B nodes for one G_A node, with scores."""
+        """The ``k`` most similar G_B nodes for one G_A node, with scores.
+
+        Ranked by the leased generation's
+        :meth:`repro.retrieval.GSimIndex.top_matches`.
+        """
         k = check_positive_integer(k, "k")
         policy = self.policy if policy is None else check_policy(policy)
         pre_ordinal = self._manager.live_ordinal
         with self._manager.lease(policy) as lease:
             self._note_query(lease, pre_ordinal)
-            factors = lease.factors
-            norm = factors.frobenius_norm(include_scale=False)
-            if norm == 0.0:
-                raise ZeroDivisionError("similarity collapsed to zero")
-            row = factors.query_block(
-                [node_a], np.arange(factors.shape[1]), include_scale=False
-            )[0]
-            order = np.argsort(-row, kind="stable")[: min(k, row.size)]
-            return [(int(col), float(row[col]) / norm) for col in order]
+            matches = lease.index.top_matches(node_a, k=k)
+            return [(match.node_b, match.score) for match in matches]
 
     # ------------------------------------------------------------------
     def _note_query(self, lease, pre_ordinal, count: int = 1) -> None:

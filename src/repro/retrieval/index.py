@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.batch import BatchQueryEngine
 from repro.core.embeddings import LowRankFactors, TruncationInfo
 from repro.core.gsim_plus import GSimPlus
-from repro.core.topk import ScoredPair, scan_top_pairs
+from repro.core.topk import ScoredPair, rank_row, scan_top_pairs
 from repro.graphs.graph import Graph
 from repro.runtime import ExecutionContext, Metrics, WorkerPool
 from repro.runtime.errors import CorruptArtifactError
@@ -30,7 +30,7 @@ from repro.runtime.resilience import (
     atomic_write,
     content_checksum,
 )
-from repro.utils.validation import check_positive_integer
+from repro.utils.validation import check_positive_integer, resolve_node_index
 
 __all__ = ["GSimIndex", "IndexMetadata"]
 
@@ -361,16 +361,32 @@ class GSimIndex:
     def top_matches(
         self, node_a: int, k: int = 10, context: ExecutionContext | None = None
     ) -> list[ScoredPair]:
-        """The ``k`` best G_B matches for one G_A node."""
+        """The ``k`` best G_B matches for one G_A node.
+
+        The node's factor row is scored against V's non-zero rows only
+        (:func:`repro.core.topk.rank_row`); ties break by lowest
+        ``node_b``.  With a context, the call records an
+        ``index.top_matches`` span and ``index.top_matches_seconds``.
+        """
         k = check_positive_integer(k, "k")
-        if not (0 <= node_a < self.shape[0]):
-            raise IndexError(f"node {node_a} out of range")
-        row = self.query([node_a], np.arange(self.shape[1]), context=context)[0]
-        order = np.argsort(-row, kind="stable")[: min(k, row.size)]
-        return [
-            ScoredPair(node_a=node_a, node_b=int(col), score=float(row[col]))
-            for col in order
-        ]
+        node = int(resolve_node_index([node_a], self.shape[0], "node_a")[0])
+        tracer = context.tracer if context is not None else NULL_TRACER
+        start = time.perf_counter()
+        with tracer.span("index.top_matches") as span:
+            span.set_attribute("k", k)
+            cols, scores = rank_row(
+                self._factors.u[node], self._engine.v_targets, min(k, self.shape[1])
+            )
+            norm = self._engine.global_norm
+            matches = [
+                ScoredPair(node_a=node, node_b=int(col), score=float(score) / norm)
+                for col, score in zip(cols, scores)
+            ]
+        if context is not None:
+            context.metrics.observe_histogram(
+                "index.top_matches_seconds", time.perf_counter() - start
+            )
+        return matches
 
     def query_many(
         self,
@@ -424,13 +440,13 @@ class GSimIndex:
         k: int = 10,
         block_rows: int = 1024,
         context: ExecutionContext | None = None,
-        max_workers=None,
     ) -> list[ScoredPair]:
-        """The ``k`` globally best pairs, scanned under bounded memory.
+        """The ``k`` globally best pairs, by the pruned scan of
+        :func:`repro.core.topk.scan_top_pairs` under bounded memory.
 
         Scores are globally normalised (entries of the unit-Frobenius
         matrix); ties break by lowest ``node_a`` then ``node_b``, and the
-        result is identical for every ``block_rows`` and ``max_workers``.
+        result is identical for every ``block_rows``.
         """
         tracer = context.tracer if context is not None else NULL_TRACER
         start = time.perf_counter()
@@ -442,8 +458,7 @@ class GSimIndex:
                     k,
                     block_rows=block_rows,
                     context=context,
-                    max_workers=max_workers,
-                    score_scale=1.0 / self._engine.global_norm,
+                    norm=self._engine.global_norm,
                 )
             finally:
                 if context is not None:
@@ -457,7 +472,6 @@ class GSimIndex:
                             duration,
                             k=int(k),
                             block_rows=int(block_rows),
-                            workers=WorkerPool.resolve(max_workers).max_workers,
                             width=self._factors.width,
                             span_id=getattr(span, "span_id", None),
                         )

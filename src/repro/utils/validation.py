@@ -56,7 +56,9 @@ def resolve_node_index(
 
     The one bounds/duplicate check shared by the query resolvers
     (``GSimPlus``, top-k retrieval), ``Graph.subgraph``, and the factored
-    ``query_block`` path.
+    ``query_block`` path.  Ids must be integers (integral floats are
+    accepted): bool, string, object and fractional ids raise
+    ``TypeError`` rather than being cast.
 
     Parameters
     ----------
@@ -87,7 +89,17 @@ def resolve_node_index(
         if full_if_none:
             return np.arange(size, dtype=np.int64)
         raise ValueError(f"{name} must not be None")
-    resolved = np.asarray(index, dtype=np.int64)
+    raw = np.asarray(index)
+    # Integral floats pass: an empty list arrives as float64.
+    integral = raw.dtype.kind in "iu" or (
+        raw.dtype.kind == "f"
+        and bool(np.all(np.isfinite(raw) & (raw == np.floor(raw))))
+    )
+    if not integral:
+        raise TypeError(
+            f"{name} must hold integer node ids, got {raw.dtype.name} values"
+        )
+    resolved = raw.astype(np.int64, copy=False)
     if resolved.ndim != 1:
         raise ValueError(f"{name} must be a non-empty 1-D index array")
     if resolved.size == 0:

@@ -132,6 +132,20 @@ class TestSimilaritySession:
         for col, score in matches.items():
             assert score == pytest.approx(row[col], rel=1e-9)
 
+    def test_top_matches_match_the_index(self, graphs):
+        session = SimilaritySession(*graphs, iterations=6)
+        with session.lifecycle.lease("block") as lease:
+            expected = lease.index.top_matches(2, k=4)
+        assert session.top_matches(2, k=4) == [
+            (match.node_b, match.score) for match in expected
+        ]
+
+    @pytest.mark.parametrize("node", [1.5, "1", True])
+    def test_top_matches_rejects_non_integer_node(self, graphs, node):
+        session = SimilaritySession(*graphs, iterations=4)
+        with pytest.raises(TypeError, match="integer node ids"):
+            session.top_matches(node)
+
     def test_refresh_forces_recompute(self, graphs):
         session = SimilaritySession(*graphs, iterations=4)
         session.refresh()

@@ -581,6 +581,16 @@ class TestManagerFailures:
             health = manager.health()
             assert health["live_generation"] == 1
             assert health["last_failure"] is not None
+            # The serve_stale lease asked for a background refresh, which
+            # retries (no failure pause) until the breaker opens.  Wait for
+            # that: a background retry after the fault clears would
+            # install generation 2 before the forced rebuild below.
+            deadline = time.monotonic() + 10.0
+            while (
+                manager.health()["breaker"] != "open"
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.001)
             # recovery: the next forced rebuild succeeds and goes fresh
             injector.active = False
             second = manager.rebuild_now()

@@ -225,11 +225,8 @@ class TestTopKEquivalence:
                     (int(rows[i]), int(cols[i]), float(scores.ravel()[i]))
                     for i in order
                 ]
-                for workers in WORKER_COUNTS:
-                    got = scan_top_pairs(
-                        factors, k, block_rows=3, max_workers=workers
-                    )
-                    assert [(p.node_a, p.node_b, p.score) for p in got] == expected
+                got = scan_top_pairs(factors, k, block_rows=3)
+                assert [(p.node_a, p.node_b, p.score) for p in got] == expected
 
     def test_queries_identical_across_workers(self, graph_pair):
         graph_a, graph_b = graph_pair
@@ -271,27 +268,22 @@ class TestTopKEquivalence:
                 if self.remaining <= 0:
                     self.token.cancel()
 
-        for workers in (2, 4):
-            token = CancellationToken()
-            context = ExecutionContext(
-                cancellation=token, fault_injector=_CancelAfter(token, after=3)
-            )
-            with pytest.raises(Cancelled):
-                scan_top_pairs(
-                    factors, 10, block_rows=8,
-                    context=context, max_workers=workers,
-                )
+        token = CancellationToken()
+        context = ExecutionContext(
+            cancellation=token, fault_injector=_CancelAfter(token, after=3)
+        )
+        # The pruned scan scores only a handful of the 256 rows here (7 in
+        # one-row blocks), so one-row blocks are what give it more than
+        # three checkpoints.
+        with pytest.raises(Cancelled):
+            scan_top_pairs(factors, 10, block_rows=1, context=context)
 
     def test_deadline_fires_mid_scan(self, graph_pair):
         graph_a, graph_b = graph_pair
         factors = GSimIndex.build(graph_a, graph_b, iterations=6)._factors
-        for workers in (2, 4):
-            context = ExecutionContext(deadline=WallClockDeadline(1e-9))
-            with pytest.raises(DeadlineExceeded):
-                scan_top_pairs(
-                    factors, 10, block_rows=8,
-                    context=context, max_workers=workers,
-                )
+        context = ExecutionContext(deadline=WallClockDeadline(1e-9))
+        with pytest.raises(DeadlineExceeded):
+            scan_top_pairs(factors, 10, block_rows=8, context=context)
 
 
 # ----------------------------------------------------------------------
@@ -323,18 +315,12 @@ class TestServingEquivalence:
         blocks = engine.query_many([([0], [0, 1])], max_workers=0)
         assert blocks[0].shape == (1, 2)
 
-    def test_index_top_pairs_identical_across_workers(self, graph_pair):
+    def test_index_top_pairs_identical_across_blocks(self, graph_pair):
         graph_a, graph_b = graph_pair
         index = GSimIndex.build(graph_a, graph_b, iterations=6)
         reference = index.top_pairs(k=20)
-        for workers in WORKER_COUNTS:
-            for block_rows in (16, 1024):
-                assert (
-                    index.top_pairs(
-                        k=20, block_rows=block_rows, max_workers=workers
-                    )
-                    == reference
-                )
+        for block_rows in (1, 16, 1024):
+            assert index.top_pairs(k=20, block_rows=block_rows) == reference
 
 
 # ----------------------------------------------------------------------

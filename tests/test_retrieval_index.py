@@ -104,6 +104,24 @@ class TestServing:
         with pytest.raises(IndexError):
             index.top_matches(999)
 
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [([1.5], [0]), ([1], [0.9]), (["1"], [0]), ([True], [0]), ([1], [None])],
+    )
+    def test_query_rejects_non_integer_ids(self, index, rows, cols):
+        with pytest.raises(TypeError, match="integer node ids"):
+            index.query(rows, cols)
+
+    def test_query_accepts_integral_floats(self, index):
+        np.testing.assert_array_equal(
+            index.query(np.array([1.0, 2.0]), [0]), index.query([1, 2], [0])
+        )
+
+    @pytest.mark.parametrize("node", [1.5, "1", True, None])
+    def test_top_matches_rejects_non_integer_node(self, index, node):
+        with pytest.raises(TypeError, match="integer node ids"):
+            index.top_matches(node)
+
     def test_top_pairs_matches_low_level(self, pair, index):
         graph_a, graph_b = pair
         ours = index.top_pairs(k=5)

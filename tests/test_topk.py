@@ -86,6 +86,11 @@ class TestTopKForQueries:
         with pytest.raises(IndexError):
             top_k_for_queries(*pair, [999], k=2)
 
+    @pytest.mark.parametrize("queries", [[1.5], ["1"], [True, False]])
+    def test_non_integer_query_rejected(self, pair, queries):
+        with pytest.raises(TypeError, match="integer node ids"):
+            top_k_for_queries(*pair, queries, k=2, iterations=3)
+
 
 class TestSerialization:
     def test_round_trip(self, pair, tmp_path):
