@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-all bench-compression bench-scale bench-scale-gate bench-gate figures accuracy examples all-checks
+.PHONY: install test test-fast bench bench-all bench-compression bench-scale bench-scale-gate bench-gate bench-e2e figures accuracy examples all-checks
 
 # Pin BLAS thread pools so benchmark numbers isolate the worker-pool
 # sharding from library-internal threading (see docs/usage.md).
@@ -77,6 +77,18 @@ bench-gate:
 	$(PYTHON) scripts/bench_gate.py \
 		--baseline $(BENCH_BASELINE) --candidate $(BENCH_GATE_OUT) \
 		$(BENCH_GATE_BANDS)
+
+# End-to-end benchmark (contract and command in BENCHMARK.json): both
+# workloads, one fresh process each; `make bench-e2e SEED=3 TRACE=1` for
+# the per-layer run.  Results land in the gitignored .bench_e2e/results/.
+SEED ?= 1
+TRACE ?= 0
+
+bench-e2e:
+	for workload in paper mmap; do \
+		python3 bench_e2e/run.py --workload $$workload --seed $(SEED) \
+			--seconds 40 --trace $(TRACE) || exit 1; \
+	done
 
 figures:
 	for fig in fig2 fig3 fig4 fig5 fig6 fig7 fig8; do \

@@ -330,11 +330,20 @@ class LowRankFactors:
         """
         u = self.u if self.u.dtype == np.float64 else self.u.astype(np.float64)
         v = self.v if self.v.dtype == np.float64 else self.v.astype(np.float64)
-        gram_u = u.T @ u
-        gram_v = v.T @ v
-        squared = float(np.sum(gram_u * gram_v))
+        squared = float(np.sum((u.T @ u) * (v.T @ v)))
+        peak_u = peak_v = 1.0
+        low, high = _SAFE_SQUARES
+        if not low <= squared <= high:
+            # Squares of entries below ~1e-162 underflow (and large ones
+            # overflow): divide each factor by its largest magnitude and
+            # scale the norm back.  Z is zero if either factor is.
+            peak_u = float(np.abs(u).max(initial=0.0))
+            peak_v = float(np.abs(v).max(initial=0.0))
+            if peak_u and peak_v:
+                u, v = u / peak_u, v / peak_v
+                squared = float(np.sum((u.T @ u) * (v.T @ v)))
         # Tiny negatives can appear from rounding; clamp.
-        norm = math.sqrt(max(squared, 0.0))
+        norm = math.sqrt(max(squared, 0.0)) * peak_u * peak_v
         if include_scale and self.log_scale != 0.0:
             norm *= math.exp(self.log_scale)
         return norm

@@ -33,7 +33,6 @@ from repro.graphs.sampling import (
 )
 from repro.graphs.interop import from_networkx, to_networkx
 from repro.graphs.mmap_csr import MmapCSRGraph, convert_edge_list
-from repro.graphs.streaming import read_edge_list_streaming
 
 __all__ = [
     "DATASETS",
@@ -54,7 +53,6 @@ __all__ = [
     "load_dataset_pair",
     "random_node_sample",
     "read_edge_list",
-    "read_edge_list_streaming",
     "read_edge_list_text",
     "rmat_graph",
     "stochastic_block_graph",

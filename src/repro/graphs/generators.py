@@ -45,9 +45,12 @@ def _dedupe_edges(
     if drop_self_loops:
         keep = rows != cols
         rows, cols = rows[keep], cols[keep]
-    # Encode each edge as a single int64 key for fast unique().
-    keys = rows.astype(np.int64) * np.int64(num_nodes) + cols.astype(np.int64)
-    keys = np.unique(keys)
+    # Encode each edge as a single int64 key; sort and keep the first of each
+    # run of equal keys (np.unique's output, without its hash table).
+    keys = np.sort(rows.astype(np.int64) * np.int64(num_nodes) + cols.astype(np.int64))
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
     return keys // num_nodes, keys % num_nodes
 
 
@@ -86,7 +89,7 @@ def erdos_renyi_graph(
         # unique() sorted the edges, so subsample uniformly to hit the target.
         pick = rng.choice(rows.size, size=num_edges, replace=False)
         rows, cols = rows[pick], cols[pick]
-    return Graph.from_edges(num_nodes, zip(rows.tolist(), cols.tolist()), name=name)
+    return Graph.from_edges(num_nodes, np.column_stack((rows, cols)), name=name)
 
 
 def barabasi_albert_graph(
@@ -124,7 +127,9 @@ def barabasi_albert_graph(
             targets.append(dst)
             repeated_targets.append(dst)
         repeated_targets.extend([node] * edges_per_node)
-    return Graph.from_edges(num_nodes, zip(sources, targets), name=name)
+    return Graph.from_edges(
+        num_nodes, np.column_stack((sources, targets)), name=name
+    )
 
 
 def rmat_graph(
@@ -181,7 +186,7 @@ def rmat_graph(
     if rows.size > num_edges:
         pick = rng.choice(rows.size, size=num_edges, replace=False)
         rows, cols = rows[pick], cols[pick]
-    return Graph.from_edges(num_nodes, zip(rows.tolist(), cols.tolist()), name=name)
+    return Graph.from_edges(num_nodes, np.column_stack((rows, cols)), name=name)
 
 
 def chung_lu_graph(
@@ -226,7 +231,7 @@ def chung_lu_graph(
     if rows.size > target_edges:
         pick = rng.choice(rows.size, size=target_edges, replace=False)
         rows, cols = rows[pick], cols[pick]
-    return Graph.from_edges(num_nodes, zip(rows.tolist(), cols.tolist()), name=name)
+    return Graph.from_edges(num_nodes, np.column_stack((rows, cols)), name=name)
 
 
 def power_law_degrees(
@@ -288,7 +293,7 @@ def stochastic_block_graph(
     np.fill_diagonal(prob, 0.0)
     mask = rng.random((num_nodes, num_nodes)) < prob
     rows, cols = np.nonzero(mask)
-    return Graph.from_edges(num_nodes, zip(rows.tolist(), cols.tolist()), name=name)
+    return Graph.from_edges(num_nodes, np.column_stack((rows, cols)), name=name)
 
 
 def directed_block_graph(
@@ -323,4 +328,4 @@ def directed_block_graph(
     np.fill_diagonal(prob, 0.0)
     mask = rng.random((num_nodes, num_nodes)) < prob
     rows, cols = np.nonzero(mask)
-    return Graph.from_edges(num_nodes, zip(rows.tolist(), cols.tolist()), name=name)
+    return Graph.from_edges(num_nodes, np.column_stack((rows, cols)), name=name)

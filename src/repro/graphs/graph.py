@@ -76,15 +76,21 @@ class Graph:
     def from_edges(
         cls,
         num_nodes: int,
-        edges: Iterable[tuple[int, int]] | Iterable[tuple[int, int, float]],
+        edges: Iterable[tuple[int, int]]
+        | Iterable[tuple[int, int, float]]
+        | np.ndarray,
         name: str = "graph",
     ) -> "Graph":
         """Build a graph from an iterable of ``(src, dst)`` or
-        ``(src, dst, weight)`` tuples.
+        ``(src, dst, weight)`` tuples, or an ``(m, 2)`` / ``(m, 3)`` array.
 
         Duplicate edges are summed.  Node ids must be in ``[0, num_nodes)``.
+        An array means the same as iterating its rows, but is checked and
+        converted in whole-array operations.
         """
         num_nodes = check_nonnegative_integer(num_nodes, "num_nodes")
+        if isinstance(edges, np.ndarray):
+            return cls(_edge_array_matrix(edges, num_nodes), name=name)
         rows: list[int] = []
         cols: list[int] = []
         vals: list[float] = []
@@ -288,3 +294,26 @@ class Graph:
             raise IndexError(
                 f"node {node} out of range for graph with {self.num_nodes} nodes"
             )
+
+
+def _edge_array_matrix(edges: np.ndarray, num_nodes: int) -> sp.csr_matrix:
+    """:meth:`Graph.from_edges` for an array: one range check, one COO -> CSR."""
+    if edges.ndim != 2 or edges.shape[1] not in (2, 3):
+        raise ValueError(f"edge arrays must have shape (m, 2) or (m, 3), got {edges.shape}")
+    ends = edges[:, :2]
+    # min/max first: the row-wise mask is only needed to name the first bad
+    # edge.  NaN fails both comparisons, as it does in the tuple loop.
+    if ends.size and not (ends.min() >= 0 and ends.max() < num_nodes):
+        bad = ~((ends >= 0) & (ends < num_nodes)).all(axis=1)
+        src, dst = ends[np.argmax(bad)]
+        raise ValueError(f"edge ({src}, {dst}) out of range for {num_nodes} nodes")
+    # astype truncates toward zero, as int() does in the tuple loop.
+    rows = ends[:, 0].astype(np.int64)
+    cols = ends[:, 1].astype(np.int64)
+    if edges.shape[1] == 3:
+        vals = edges[:, 2].astype(np.float64)
+    else:
+        vals = np.ones(edges.shape[0])
+    return sp.csr_matrix(
+        (vals, (rows, cols)), shape=(num_nodes, num_nodes), dtype=np.float64
+    )

@@ -29,13 +29,13 @@ manifest), so a worker process can map any of them from an
 :mod:`repro.runtime.procpool`.
 
 The converter runs in bounded memory: two streaming parse passes (count,
-scatter), a block-wise canonicalisation pass (duplicates summed, stored
-zeros dropped, rows sorted — the same canonical form
-:class:`repro.graphs.Graph` enforces, so the mapped graph is
-entry-for-entry bit-identical to an in-memory load of the same file), and
-an out-of-core transpose.  Each stage publishes its outputs atomically
-and journals completion in ``progress.json``; a crash — including an
-injected :class:`repro.runtime.FaultInjector` fault at any
+scatter) over :class:`repro.graphs.io.EdgeChunks`, a block-wise
+canonicalisation pass (duplicates summed, stored zeros dropped, rows
+sorted — the same canonical form :class:`repro.graphs.Graph` enforces, so
+the mapped graph is entry-for-entry bit-identical to an in-memory load of
+the same file), and an out-of-core transpose.  Each stage publishes its
+outputs atomically and journals completion in ``progress.json``; a crash
+— including an injected :class:`repro.runtime.FaultInjector` fault at any
 ``context.checkpoint`` — resumes at the first incomplete stage.
 """
 
@@ -46,13 +46,13 @@ import json
 import mmap as _mmap_module
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
-from repro.graphs.io import _MODES, _parse_lines, _SkipCounter, _warn_skips
+from repro.graphs.io import CHUNK_EDGES, EdgeChunks, _check_mode, _warn_skips
 from repro.runtime.procpool import ArrayRef, CsrRef
 from repro.runtime.resilience import atomic_write, content_checksum
 from repro.utils.memory import resident_nbytes
@@ -371,52 +371,6 @@ def _publish_manifest(
         tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
 
 
-def _iter_edge_chunks(
-    path: Path,
-    comment: str,
-    mode: str,
-    skips: _SkipCounter,
-    chunk_edges: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Parse ``path`` into ``(src, dst, weight)`` array chunks.
-
-    Wraps :func:`repro.graphs.io._parse_lines`, so strict/lenient line
-    handling is byte-for-byte the one ``read_edge_list`` applies; the
-    integer-id check mirrors ``_build_graph``'s non-relabelled branch.
-    """
-    sources = np.empty(chunk_edges, dtype=np.int64)
-    targets = np.empty(chunk_edges, dtype=np.int64)
-    weights = np.empty(chunk_edges, dtype=np.float64)
-    filled = 0
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, src, dst, weight in _parse_lines(handle, comment, mode, skips):
-            try:
-                src_id, dst_id = int(src), int(dst)
-            except ValueError:
-                if mode == "lenient":
-                    skips.skip(f"line {lineno}: non-integer node id {src!r}/{dst!r}")
-                    continue
-                raise ValueError(
-                    f"line {lineno}: non-integer node id {src!r}/{dst!r}"
-                ) from None
-            if src_id < 0 or dst_id < 0:
-                if mode == "lenient":
-                    skips.skip(f"line {lineno}: negative node id")
-                    continue
-                raise ValueError(
-                    f"line {lineno}: node ids must be non-negative"
-                )
-            sources[filled] = src_id
-            targets[filled] = dst_id
-            weights[filled] = weight
-            filled += 1
-            if filled == chunk_edges:
-                yield sources[:filled], targets[:filled], weights[:filled]
-                filled = 0
-    if filled:
-        yield sources[:filled], targets[:filled], weights[:filled]
-
-
 def _checkpoint(context: "ExecutionContext | None", what: str) -> None:
     if context is not None:
         context.checkpoint(what)
@@ -430,31 +384,56 @@ def _count_stage(
     chunk_edges: int,
     context: "ExecutionContext | None",
 ) -> dict:
-    """Pass 1: out-degree counts -> raw indptr; node count; raw nnz."""
-    skips = _SkipCounter()
-    counts = np.zeros(1024, dtype=np.int64)
+    """Pass 1: out-degree counts -> raw indptr; node count; raw nnz.
+
+    The node count is the one a ``nodes=N`` header declares, else
+    ``max_id + 1``.
+    """
+    counts = np.zeros(0, dtype=np.int64)
     max_id = -1
     nnz = 0
-    for src, dst, _ in _iter_edge_chunks(source, comment, mode, skips, chunk_edges):
-        _checkpoint(context, f"mmap convert count @edge {nnz}")
-        top = int(max(src.max(), dst.max()))
-        max_id = max(max_id, top)
-        if top >= counts.size:
-            counts = np.concatenate(
-                [counts, np.zeros(max(counts.size, top + 1 - counts.size), np.int64)]
-            )
-        counts += np.bincount(src, minlength=counts.size)
-        nnz += src.size
-    num_nodes = max_id + 1
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts[:num_nodes], out=indptr[1:])
+    with source.open("rb") as handle:
+        chunks = EdgeChunks(handle, chunk_edges, comment, mode)
+        for src, dst, _ in chunks:
+            _checkpoint(context, f"mmap convert count @edge {nnz}")
+            max_id = max(max_id, int(src.max()), int(dst.max()))
+            chunk_counts = np.bincount(src)
+            counts = np.pad(counts, (0, max(0, chunk_counts.size - counts.size)))
+            counts[: chunk_counts.size] += chunk_counts
+            nnz += src.size
+    num_nodes = max_id + 1 if chunks.num_nodes is None else chunks.num_nodes
+    # Rows past the last source row are empty.
+    indptr = np.full(num_nodes + 1, nnz, dtype=np.int64)
+    indptr[0] = 0
+    np.cumsum(counts, out=indptr[1 : counts.size + 1])
     _write_array(root / "raw.indptr.bin", indptr)
     return {
         "num_nodes": num_nodes,
         "raw_nnz": nnz,
-        "skipped": skips.skipped,
-        "first_skip_reason": skips.first_reason,
+        "skipped": chunks.skipped,
+        "first_skip_reason": chunks.first_reason,
     }
+
+
+def _append_slots(keys: np.ndarray, cursor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where to append a chunk of entries to the rows named by ``keys``.
+
+    Entry ``order[i]`` goes to ``slots[i]``; ``cursor`` (each row's next
+    free slot) advances past the chunk.  The sort is stable and an entry's
+    rank within its key gives it its own slot, so entries keep their chunk
+    order within a row even when a key repeats.
+    """
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
+    uniques = sorted_keys[starts]
+    del sorted_keys
+    counts = np.diff(starts, append=keys.size)
+    # slot = cursor[key] + (position - start of the key's run)
+    slots = np.arange(keys.size)
+    slots -= np.repeat(starts - cursor[uniques], counts)
+    cursor[uniques] += counts
+    return order, slots
 
 
 def _scatter_stage(
@@ -470,30 +449,21 @@ def _scatter_stage(
     """Pass 2: scatter (dst, weight) into per-row slots, file order kept."""
     indptr = np.fromfile(root / "raw.indptr.bin", dtype=np.int64)
     cursor = indptr[:-1].copy()
-    skips = _SkipCounter()  # already warned about in pass 1
     with atomic_write(root / "raw.indices.bin") as tmp_idx, atomic_write(
         root / "raw.data.bin"
-    ) as tmp_dat:
+    ) as tmp_dat, source.open("rb") as handle:
         indices = np.memmap(tmp_idx, dtype=np.int64, mode="w+", shape=(max(raw_nnz, 1),))
         data = np.memmap(tmp_dat, dtype=np.float64, mode="w+", shape=(max(raw_nnz, 1),))
         seen = 0
-        for src, dst, weight in _iter_edge_chunks(
-            source, comment, mode, skips, chunk_edges
+        # The count pass's node count makes this pass skip the same lines
+        # (its skips were already reported).
+        for src, dst, weight in EdgeChunks(
+            handle, chunk_edges, comment, mode, num_nodes=num_nodes
         ):
             _checkpoint(context, f"mmap convert scatter @edge {seen}")
-            # Vectorised multi-scatter: group the chunk by source row
-            # (stable, so file order within a row is preserved), then
-            # place each group at its row cursor in one slice assignment.
-            order = np.argsort(src, kind="stable")
-            rows = src[order]
-            boundaries = np.flatnonzero(np.diff(rows)) + 1
-            groups = np.split(np.arange(rows.size), boundaries)
-            for group in groups:
-                row = int(rows[group[0]])
-                at = cursor[row]
-                indices[at : at + group.size] = dst[order[group]]
-                data[at : at + group.size] = weight[order[group]]
-                cursor[row] += group.size
+            order, slots = _append_slots(src, cursor)
+            indices[slots] = dst[order]
+            data[slots] = weight[order]
             seen += src.size
         indices.flush()
         data.flush()
@@ -615,17 +585,9 @@ def _transpose_stage(
                 np.arange(start, stop, dtype=np.int64),
                 np.diff(indptr[start : stop + 1]),
             )
-            # Stable sort by column; ranks within each column group give
-            # collision-free slots even with duplicate columns per chunk.
-            order = np.argsort(cols, kind="stable")
-            sorted_cols = cols[order]
-            uniques, counts = np.unique(sorted_cols, return_counts=True)
-            group_starts = np.cumsum(counts) - counts
-            within = np.arange(sorted_cols.size) - np.repeat(group_starts, counts)
-            slots = np.repeat(cursor[uniques], counts) + within
+            order, slots = _append_slots(cols, cursor)
             indices_t[slots] = rows[order]
             data_t[slots] = vals[order]
-            cursor[uniques] += counts
         indices_t.flush()
         data_t.flush()
         del indices_t, data_t
@@ -641,7 +603,7 @@ def convert_edge_list(
     mode: str = "strict",
     comment: str = "#",
     name: str | None = None,
-    chunk_edges: int = 1 << 20,
+    chunk_edges: int = CHUNK_EDGES,
     block_rows: int = 1 << 16,
     resume: bool = True,
     context: "ExecutionContext | None" = None,
@@ -655,16 +617,18 @@ def convert_edge_list(
         ``#`` comments); node ids must be non-negative integers (use
         :func:`repro.graphs.read_edge_list` with ``relabel=True`` for
         arbitrary tokens — relabelling needs a token table, which
-        defeats streaming).
+        defeats streaming).  A ``nodes=N`` comment before the first
+        edge sets the node count, as in ``read_edge_list``.
     mode:
         ``"strict"`` (default) raises on any malformed line;
         ``"lenient"`` skips malformed lines and emits one counted
         ``RuntimeWarning`` — the exact semantics of
-        :func:`repro.graphs.io.read_edge_list`.
+        :func:`repro.graphs.io.read_edge_list`, whose parser
+        (:class:`repro.graphs.io.EdgeChunks`) both parse passes use.
     chunk_edges, block_rows:
-        Streaming granularity of the parse passes and the
-        canonicalise/transpose passes; peak memory is
-        ``O(num_nodes + chunk_edges + block nnz)``, never ``O(nnz)``.
+        Streaming granularity of the parse passes (edges per chunk) and
+        the canonicalise/transpose passes (rows per block); peak memory
+        is ``O(num_nodes + chunk_edges + block nnz)``, never ``O(nnz)``.
     resume:
         When True (default) a partially-converted directory continues
         from its first incomplete stage (journalled in
@@ -679,8 +643,7 @@ def convert_edge_list(
     Returns the mapped :class:`MmapCSRGraph`.  Idempotent: a directory
     whose manifest already exists is just loaded back.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    _check_mode(mode)
     source = Path(source)
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -698,11 +661,7 @@ def convert_edge_list(
     count_meta = progress.done("count")
     if count_meta is None:
         count_meta = _count_stage(source, root, comment, mode, chunk_edges, context)
-        if count_meta["skipped"]:
-            skips = _SkipCounter()
-            skips.skipped = count_meta["skipped"]
-            skips.first_reason = count_meta.get("first_skip_reason")
-            _warn_skips(skips, str(source))
+        _warn_skips(count_meta["skipped"], count_meta["first_skip_reason"], str(source))
         progress.complete("count", count_meta)
         _metric("stages_run")
     else:

@@ -217,10 +217,9 @@ class GSimIndex:
         wanted = {"u", "v", "log_scale", "dtype", "metadata_json", "checksum"}
         try:
             with np.load(path, allow_pickle=False) as archive:
+                # Each read returns a fresh array; no copy needed.
                 arrays = {
-                    name: archive[name].copy()
-                    for name in archive.files
-                    if name in wanted
+                    name: archive[name] for name in archive.files if name in wanted
                 }
         except FileNotFoundError:
             raise

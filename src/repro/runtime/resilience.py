@@ -99,9 +99,10 @@ def atomic_write(path: str | Path) -> Iterator[Path]:
 def content_checksum(items: Mapping[str, Any]) -> str:
     """A stable SHA-256 digest of named arrays / scalars / strings.
 
-    Arrays contribute dtype, shape, and raw bytes; everything else
-    contributes its JSON encoding.  Names are folded in sorted order so
-    the digest is independent of dict insertion order.
+    Arrays contribute dtype, shape, and raw bytes (in C order, hashed
+    from the buffer without a copy when the array is C-contiguous);
+    everything else contributes its JSON encoding.  Names are folded in
+    sorted order so the digest is independent of dict insertion order.
     """
     digest = hashlib.sha256()
     for name in sorted(items):
@@ -111,7 +112,7 @@ def content_checksum(items: Mapping[str, Any]) -> str:
             array = np.asarray(value)
             digest.update(str(array.dtype).encode("ascii"))
             digest.update(str(array.shape).encode("ascii"))
-            digest.update(array.tobytes())
+            digest.update(np.ascontiguousarray(array))
         else:
             digest.update(json.dumps(value, sort_keys=True).encode("utf-8"))
     return digest.hexdigest()

@@ -10,7 +10,7 @@ from repro.graphs import (
     rmat_graph,
     stochastic_block_graph,
 )
-from repro.graphs.generators import power_law_degrees
+from repro.graphs.generators import _dedupe_edges, power_law_degrees
 
 
 class TestErdosRenyi:
@@ -225,3 +225,23 @@ class TestPerBlockDensities:
     def test_p_in_length_validated(self):
         with pytest.raises(ValueError, match="entries for"):
             stochastic_block_graph([5, 5], p_in=[0.5], p_out=0.0)
+
+
+class TestDedupeEdges:
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            tuple(np.random.default_rng(3).integers(0, 50, size=(2, 5000))),
+            (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),
+            (np.full(100, 7), np.full(100, 3)),
+        ],
+        ids=["random", "empty", "all-duplicate"],
+    )
+    @pytest.mark.parametrize("drop_self_loops", [False, True])
+    def test_matches_np_unique(self, rows, cols, drop_self_loops):
+        keep = rows != cols if drop_self_loops else np.ones(rows.size, dtype=bool)
+        keys = np.unique(rows[keep].astype(np.int64) * 50 + cols[keep])
+        got_rows, got_cols = _dedupe_edges(rows, cols, 50, drop_self_loops)
+        assert np.array_equal(got_rows, keys // 50)
+        assert np.array_equal(got_cols, keys % 50)
+        assert got_rows.dtype == got_cols.dtype == np.int64

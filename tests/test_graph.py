@@ -30,6 +30,35 @@ class TestConstruction:
         with pytest.raises(ValueError, match="2 or 3 items"):
             Graph.from_edges(2, [(0,)])
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            np.array([[0, 1], [2, 0], [0, 1], [3, 3]]),
+            np.array([[0, 1, 2.5], [2, 0, -1.0], [0, 1, 0.5], [1, 2, 0.0]]),
+            np.array([[0.0, 1.9], [3.2, 0.0]]),  # truncated, as int() does
+            np.empty((0, 2), dtype=np.int64),
+        ],
+    )
+    def test_from_edge_array_matches_rows(self, edges):
+        by_array = Graph.from_edges(4, edges)
+        by_rows = Graph.from_edges(4, list(edges))
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(by_array.adjacency, attr), getattr(by_rows.adjacency, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [[1, 4], [-1, 0], [np.nan, 0]])
+    def test_from_edge_array_out_of_range(self, bad):
+        edges = np.array([[0, 1], bad, [5, 5]], dtype=np.float64)
+        with pytest.raises(ValueError) as by_array:
+            Graph.from_edges(4, edges)
+        with pytest.raises(ValueError) as by_rows:
+            Graph.from_edges(4, list(edges))
+        assert str(by_array.value) == str(by_rows.value)
+
+    def test_from_edge_array_bad_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            Graph.from_edges(2, np.zeros((3, 4)))
+
     def test_from_dense_array(self):
         g = Graph(np.array([[0, 1], [0, 0]]))
         assert g.num_edges == 1

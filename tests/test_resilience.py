@@ -8,6 +8,8 @@ its exactly round-tripped state, so any drift is a bug.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,27 @@ class TestContentChecksum:
         base = content_checksum({"u": np.arange(4.0)})
         assert content_checksum({"u": np.arange(1, 5.0)}) != base
         assert content_checksum({"w": np.arange(4.0)}) != base
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.float64(2.5),
+            np.array(7),
+            np.str_("metadata"),
+            np.array(["ab", "c"]),
+            np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+            np.arange(20.0).reshape(4, 5)[::2, 1:4],
+            np.ones((0, 3), dtype=np.float32),
+        ],
+    )
+    def test_digest_equals_tobytes_digest(self, value):
+        # Existing indexes and checkpoints were hashed from tobytes().
+        array = np.asarray(value)
+        reference = hashlib.sha256()
+        for part in (b"x", str(array.dtype).encode(), str(array.shape).encode()):
+            reference.update(part)
+        reference.update(array.tobytes())
+        assert content_checksum({"x": value}) == reference.hexdigest()
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,12 @@
 Each case is a seeded factor pair chosen to stress the norm-pruned scan
 and the zero-row skipping: mixed signs, many zero rows, equal row norms
 (nothing can prune), integer ties, float32, rows whose squares underflow,
-and single-row factors.  The oracle is the dense ``U V^T`` ranked by the
-canonical ``(-score, node_a, node_b)`` order of ``np.lexsort``.  Every
-path must return the oracle's cells in the oracle's order, with scores
-within ``w eps ||u_a|| ||v_b|| / ||Z||_F`` of it and of
-``query([a], [b])``; block entries of zero rows must be exactly 0.
+a factor whose every square underflows, and single-row factors.  The
+oracle is the dense ``U V^T`` ranked by the canonical
+``(-score, node_a, node_b)`` order of ``np.lexsort``.  Every path must
+return the oracle's cells in the oracle's order, with scores within
+``w eps ||u_a|| ||v_b|| / ||Z||_F`` of it and of ``query([a], [b])``;
+block entries of zero rows must be exactly 0.
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ def _tiny_rows(rng):
     return np.vstack([normal, tiny]), np.abs(rng.standard_normal((15, 3)))
 
 
+def _zero_squares(rng):
+    # Every entry of U squares to zero, so the Gram-trick norm must rescale
+    # the factors rather than report the zero matrix.
+    return rng.standard_normal((12, 3)) * 1e-170, rng.standard_normal((9, 3))
+
+
 def _single_cell(rng):
     return rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
 
@@ -92,6 +99,7 @@ CASES = {
     "single_cell": _single_cell,
     "single_row": _single_row,
     "single_column": _single_column,
+    "zero_squares": _zero_squares,
 }
 
 
