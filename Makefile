@@ -20,11 +20,10 @@ BENCH_GATE_OUT ?= results/BENCH_gate_candidate.json
 
 # Default tolerance bands: worker-scaling entries oversubscribe small
 # CI hosts and jitter 2-3x run-to-run, so they get a wide band; the
-# process-backend entries add fork/IPC jitter on top; the algorithmic
-# benchmarks keep the gate's +50% default.
-BENCH_GATE_BANDS ?= --band '*_workers*=3.0' --band '*_process*=3.0'
+# algorithmic benchmarks keep the gate's +50% default.
+BENCH_GATE_BANDS ?= --band '*_workers*=3.0'
 
-# Where `make bench-scale` writes the thread-vs-process timing and the
+# Where `make bench-scale` writes the pair-scan timing and the
 # in-memory-vs-mmap RSS comparison (committed baseline for the gate).
 BENCH_SCALE_OUT ?= results/BENCH_scale.json
 BENCH_SCALE_GATE_OUT ?= results/BENCH_scale_candidate.json
@@ -62,7 +61,7 @@ bench-scale:
 	$(BENCH_ENV) $(PYTHON) benchmarks/bench_scale.py $(BENCH_SCALE_OUT)
 
 # Compare a fresh scale run against the committed baseline with the
-# wide worker/process bands (see scripts/bench_gate.py --help).
+# wide worker band (see scripts/bench_gate.py --help).
 bench-scale-gate:
 	$(MAKE) bench-scale BENCH_SCALE_OUT=$(BENCH_SCALE_GATE_OUT)
 	$(PYTHON) scripts/bench_gate.py \

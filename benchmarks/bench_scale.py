@@ -138,8 +138,8 @@ def child_main(mode: str, root: str) -> int:
     clean pages dropped after every block.
     """
     from repro.graphs import MmapCSRGraph
+    from repro.graphs.mmap_csr import csr_from_arrays
     from repro.runtime import Metrics, ResourceMonitor
-    from repro.runtime.procpool import csr_from_arrays
 
     monitor = ResourceMonitor(Metrics())
     baseline = monitor.sample()["process.rss_bytes"]

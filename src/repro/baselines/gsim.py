@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.runtime import ExecutionContext
-from repro.utils.deadline import WallClockDeadline
+from repro.runtime import ExecutionContext, WallClockDeadline
 from repro.utils.memory import dense_matrix_bytes
 from repro.utils.validation import check_nonnegative_integer
 

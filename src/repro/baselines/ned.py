@@ -28,8 +28,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from repro.graphs.graph import Graph
-from repro.runtime import ExecutionContext
-from repro.utils.deadline import WallClockDeadline
+from repro.runtime import ExecutionContext, WallClockDeadline
 from repro.utils.validation import check_nonnegative_integer
 
 __all__ = ["NEDIndex", "TreeSizeLimitExceeded", "ned_distance", "ned_query"]

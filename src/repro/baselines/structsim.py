@@ -25,8 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
-from repro.runtime import ExecutionContext
-from repro.utils.deadline import WallClockDeadline
+from repro.runtime import ExecutionContext, WallClockDeadline
 from repro.utils.validation import check_nonnegative_integer
 
 __all__ = ["StructSimIndex", "structsim_query"]

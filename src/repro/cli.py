@@ -238,15 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "sweep cells (default: 1 — fully serial; results are "
             "identical for every N)",
         )
-        sub.add_argument(
-            "--backend",
-            choices=("thread", "process"),
-            default="thread",
-            help="worker backend for the sharded kernels: 'thread' "
-            "(default) shares memory, 'process' ships (path, row-range) "
-            "shard descriptors to pool processes — GIL-free compute for "
-            "mmap-converted graphs; results are bit-identical either way",
-        )
 
     for name, (_, _, _, description) in _FIGURES.items():
         sub = subparsers.add_parser(name, help=f"Figure {name[3:]}: {description}")
@@ -663,7 +654,6 @@ def _run_figure(
         journal=journal,
         retry_policy=retry_policy,
         max_workers=getattr(args, "workers", 1),
-        backend=getattr(args, "backend", "thread"),
         tracer=tracer,
         precision=getattr(args, "precision", "float64"),
         recompress_tol=getattr(args, "recompress_tol", None),
@@ -935,7 +925,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             pairs = top_k_pairs(
                 graph_a, graph_b, args.top, iterations=iterations,
                 context=context, max_workers=args.workers,
-                backend=args.backend,
                 precision=args.precision, recompress_tol=args.recompress_tol,
             )
         except BaseException as exc:
@@ -1015,7 +1004,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return top_k_pairs(
                     graph_a, graph_b, args.top, iterations=args.iterations,
                     context=context, max_workers=args.workers,
-                    backend=args.backend,
                     precision=args.precision,
                     recompress_tol=args.recompress_tol,
                 )
@@ -1052,7 +1040,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 checkpoints=checkpoints,
                 resume_from=resume_from,
                 max_workers=args.workers,
-                backend=args.backend,
                 precision=args.precision,
                 recompress_tol=args.recompress_tol,
             )

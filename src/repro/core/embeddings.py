@@ -288,20 +288,6 @@ class LowRankFactors:
         """Bytes held by the two factor arrays (for ledger charging)."""
         return self.u.nbytes + self.v.nbytes
 
-    @property
-    def resident_nbytes(self) -> int:
-        """Bytes of the factors actually resident in RAM.
-
-        Identical to :attr:`nbytes` for heap-allocated factors; for
-        file-backed factors (the process backend keeps step outputs in
-        scratch memmaps) this is the resident-page count, which is what
-        the memory ledger should charge — the virtual size would bill
-        spillable pages the OS can reclaim at will.
-        """
-        from repro.utils.memory import resident_nbytes
-
-        return resident_nbytes(self.u) + resident_nbytes(self.v)
-
     def memory_bytes(self) -> int:
         """Bytes held by the two factor arrays."""
         return self.nbytes

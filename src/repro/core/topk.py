@@ -36,10 +36,8 @@ Entry points:
 from __future__ import annotations
 
 import bisect
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +46,6 @@ from repro.core.embeddings import LowRankFactors, nonzero_rows, row_norms
 from repro.core.gsim_plus import GSimPlus
 from repro.graphs.graph import Graph
 from repro.runtime import ExecutionContext
-from repro.runtime import procpool
 from repro.runtime.parallel import WorkerPool
 from repro.runtime.trace import NULL_TRACER
 from repro.utils.memory import dense_matrix_bytes
@@ -81,7 +78,6 @@ def _factors_for(
     max_workers: "WorkerPool | int | None" = None,
     recompress_tol: float | None = None,
     precision: str = "float64",
-    backend: str = "thread",
 ) -> LowRankFactors:
     """Run GSim+ and return the final factors (factored regime enforced).
 
@@ -97,7 +93,6 @@ def _factors_for(
         max_workers=max_workers,
         recompress_tol=recompress_tol,
         precision=precision,
-        backend=backend,
     )
     state = None
     for state in solver.iterate(iterations, context=context):
@@ -288,28 +283,6 @@ def _pruned_scan(
     return best_scores, best_rows, best_cols, rows_scored, cells_scored
 
 
-# ----------------------------------------------------------------------
-# Process-pool worker task (module level: picklable under fork and spawn).
-# Inputs arrive as (path, range) descriptors; only each query's k best —
-# a few hundred bytes — travel back through pickle.
-# ----------------------------------------------------------------------
-def _scan_queries_task(
-    task: "tuple[procpool.ArrayRef, ...]",
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """One query chunk of the per-query scan, in a pool process."""
-    u_ref, ids_ref, rows_ref, zero_ref, queries_ref, start, stop, k = task
-    u = procpool.load_ref(u_ref)
-    targets = NonzeroRows(
-        procpool.load_ref(ids_ref),
-        procpool.load_ref(rows_ref),
-        procpool.load_ref(zero_ref),
-    )
-    queries = procpool.load_ref(queries_ref)
-    return [
-        (int(node), *rank_row(u[node], targets, k)) for node in queries[start:stop]
-    ]
-
-
 def scan_top_pairs(
     factors: LowRankFactors,
     k: int,
@@ -373,7 +346,6 @@ def top_k_pairs(
     max_workers: "WorkerPool | int | None" = None,
     recompress_tol: float | None = None,
     precision: str = "float64",
-    backend: str = "thread",
 ) -> list[ScoredPair]:
     """The ``k`` highest-similarity cross-graph pairs.
 
@@ -382,8 +354,8 @@ def top_k_pairs(
     scalar), and returned scores are divided by ``||Z||_F`` for
     interpretability.  Ties are broken by lowest ``node_a`` then lowest
     ``node_b``; the result is independent of ``block_rows``.
-    ``max_workers`` and ``backend`` apply to the build; the pair scan
-    itself is serial and pruned (see :func:`scan_top_pairs`).
+    ``max_workers`` applies to the build; the pair scan itself is serial
+    and pruned (see :func:`scan_top_pairs`).
 
     Examples
     --------
@@ -404,7 +376,6 @@ def top_k_pairs(
         max_workers=max_workers,
         recompress_tol=recompress_tol,
         precision=precision,
-        backend=backend,
     )
     norm = factors.frobenius_norm(include_scale=False)
     if norm == 0.0:
@@ -425,7 +396,6 @@ def top_k_for_queries(
     max_workers: "WorkerPool | int | None" = None,
     recompress_tol: float | None = None,
     precision: str = "float64",
-    backend: str = "thread",
 ) -> dict[int, list[ScoredPair]]:
     """For each query node of ``G_A``, its ``k`` best matches in ``G_B``.
 
@@ -446,7 +416,6 @@ def top_k_for_queries(
         max_workers=max_workers,
         recompress_tol=recompress_tol,
         precision=precision,
-        backend=backend,
     )
     queries = resolve_node_index(
         queries_a, factors.shape[0], "queries_a",
@@ -456,7 +425,7 @@ def top_k_for_queries(
     norm = factors.frobenius_norm(include_scale=False)
     if norm == 0.0:
         raise ZeroDivisionError("similarity collapsed to zero; no ranking exists")
-    pool = WorkerPool.resolve(max_workers, backend=backend)
+    pool = WorkerPool.resolve(max_workers)
     u = factors.u
     targets = NonzeroRows.of(factors.v)
     row_bytes = dense_matrix_bytes(1, targets.ids.size, itemsize=u.itemsize)
@@ -485,40 +454,16 @@ def top_k_for_queries(
         for start in range(0, queries.size, block_rows)
     ]
 
-    def _map_chunks() -> list[list[tuple[int, np.ndarray, np.ndarray]]]:
-        if not (pool.process_parallel and chunk_bounds):
-            return pool.map(
-                _scan_chunk, chunk_bounds, context=context, what="top-k query scan"
-            )
-        with tempfile.TemporaryDirectory(prefix="gsimplus-topk-") as scratch:
-            refs = [
-                procpool.spill_array(array, Path(scratch) / f"{name}.npy")
-                for name, array in (
-                    ("u", u),
-                    ("ids", targets.ids),
-                    ("rows", targets.rows),
-                    ("zero_ids", targets.zero_ids),
-                    ("queries", queries),
-                )
-            ]
-            tasks = [(*refs, start, stop, k) for start, stop in chunk_bounds]
-            if context is not None:
-                context.metrics.increment("topk.rows_scanned", int(queries.size))
-                context.metrics.increment(
-                    "topk.cells_scored", int(queries.size) * targets.ids.size
-                )
-            return pool.map(
-                _scan_queries_task, tasks, context=context,
-                what="top-k query scan",
-            )
-
     tracer = context.tracer if context is not None else NULL_TRACER
     start_time = time.perf_counter()
     with tracer.span("topk.query_scan") as span:
         span.set_attribute("queries", int(queries.size))
         span.set_attribute("k", k)
         try:
-            parts = _map_chunks()
+            parts = pool.map(
+                _scan_chunk, chunk_bounds, context=context,
+                what="top-k query scan",
+            )
         finally:
             if context is not None:
                 duration = time.perf_counter() - start_time

@@ -195,7 +195,6 @@ class ExperimentConfig:
     recompress_tol: float | None = None
     metrics_sink: "Metrics | None" = None
     slow_queries: "SlowQueryLog | None" = None
-    backend: str = "thread"
     solver_workers: int | None = None
 
     def solver_options(self) -> dict[str, object]:
@@ -204,9 +203,8 @@ class ExperimentConfig:
         Defaults map to an empty dict so journal cell keys (and
         measured behaviour) are unchanged for existing sweeps.
 
-        ``backend``/``solver_workers`` parallelise the SpMM *inside* each
-        GSim+ cell (``max_workers`` parallelises across cells, which must
-        stay on threads — cell closures are not picklable).  Results are
+        ``solver_workers`` parallelises the SpMM *inside* each GSim+ cell
+        (``max_workers`` parallelises across cells).  Results are
         bit-identical either way, so journal keys are again only extended
         for non-default values.
         """
@@ -215,8 +213,6 @@ class ExperimentConfig:
             options["precision"] = self.precision
         if self.recompress_tol is not None:
             options["recompress_tol"] = self.recompress_tol
-        if self.backend != "thread":
-            options["backend"] = self.backend
         if self.solver_workers is not None:
             options["max_workers"] = self.solver_workers
         return options

@@ -24,9 +24,9 @@ Artifact layout (one directory per graph)::
     progress.json       # conversion stage journal; deleted on completion
 
 Arrays are raw native-endian buffers (dtype and length live in the
-manifest), so a worker process can map any of them from an
-(path, dtype, shape) descriptor without reading a header — see
-:mod:`repro.runtime.procpool`.
+manifest), mapped without reading a header and assembled into zero-copy
+``csr_matrix`` views by :func:`csr_from_arrays`.  Worker threads share
+the mappings; nothing is copied per worker.
 
 The converter runs in bounded memory: two streaming parse passes (count,
 scatter) over :class:`repro.graphs.io.EdgeChunks`, a block-wise
@@ -53,14 +53,13 @@ import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
 from repro.graphs.io import CHUNK_EDGES, EdgeChunks, _check_mode, _warn_skips
-from repro.runtime.procpool import ArrayRef, CsrRef
 from repro.runtime.resilience import atomic_write, content_checksum
 from repro.utils.memory import resident_nbytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.context import ExecutionContext
 
-__all__ = ["MmapCSRGraph", "convert_edge_list"]
+__all__ = ["MmapCSRGraph", "convert_edge_list", "csr_from_arrays"]
 
 _FORMAT = "repro-mmap-csr-v1"
 _ARRAY_NAMES = (
@@ -128,6 +127,28 @@ class _Progress:
         self.path.unlink(missing_ok=True)
 
 
+def csr_from_arrays(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    shape: tuple[int, int],
+) -> sp.csr_matrix:
+    """A ``csr_matrix`` *viewing* the given buffers.
+
+    scipy's constructor would copy (and try to canonicalise, mutating
+    read-only mappings), so the attributes are assigned directly and the
+    canonical-form flags set by contract: every artifact writer stores
+    sorted, deduplicated rows with no stored zeros.
+    """
+    matrix = sp.csr_matrix(shape, dtype=data.dtype)
+    matrix.data = np.asarray(data)
+    matrix.indices = np.asarray(indices)
+    matrix.indptr = np.asarray(indptr)
+    matrix.has_sorted_indices = True
+    matrix.has_canonical_format = True
+    return matrix
+
+
 class MmapCSRGraph(Graph):
     """A :class:`Graph` whose CSR arrays are read-only memory maps.
 
@@ -135,9 +156,6 @@ class MmapCSRGraph(Graph):
     :func:`convert_edge_list` / :meth:`from_graph`).  The full
     ``Graph`` API works unchanged; additionally:
 
-    * :meth:`csr_ref` hands out (path, dtype, shape) descriptors for the
-      process-pool backend, so worker processes map the same files
-      instead of receiving pickled slices;
     * :meth:`release_pages` advises the kernel to drop the (clean) CSR
       pages, bounding resident memory during streaming scans;
     * :meth:`resident_bytes` reports the pages actually in RAM right
@@ -194,26 +212,19 @@ class MmapCSRGraph(Graph):
         n = int(manifest["num_nodes"])
         # Bypass Graph.__init__: it would copy + re-canonicalise; the
         # artifact is canonical by construction and must stay mapped.
-        self._adj = self._csr_view(arrays, "adj", n)
-        self._adj_t = self._csr_view(arrays, "adj_t", n)
+        self._adj, self._adj_t = (
+            csr_from_arrays(
+                arrays[f"{prefix}.indptr"],
+                arrays[f"{prefix}.indices"],
+                arrays[f"{prefix}.data"],
+                (n, n),
+            )
+            for prefix in ("adj", "adj_t")
+        )
         self._name = str(manifest.get("name", root.name))
         self._root = root
         self._manifest = manifest
         self._arrays = arrays
-
-    @staticmethod
-    def _csr_view(
-        arrays: dict[str, np.ndarray], prefix: str, n: int
-    ) -> sp.csr_matrix:
-        matrix = sp.csr_matrix((n, n), dtype=_VALUE_DTYPE)
-        matrix.indptr = arrays[f"{prefix}.indptr"]
-        matrix.indices = arrays[f"{prefix}.indices"]
-        matrix.data = arrays[f"{prefix}.data"]
-        # Canonical by construction (sorted, deduplicated, no stored
-        # zeros); the flags stop scipy from mutating read-only maps.
-        matrix.has_sorted_indices = True
-        matrix.has_canonical_format = True
-        return matrix
 
     # ------------------------------------------------------------------
     # Constructors
@@ -273,28 +284,6 @@ class MmapCSRGraph(Graph):
     def root(self) -> Path:
         """The artifact directory this graph is mapped from."""
         return self._root
-
-    def csr_ref(self, which: str = "adj") -> CsrRef:
-        """Shard descriptor of ``A`` (``"adj"``) or ``A^T`` (``"adj_t"``)."""
-        if which not in ("adj", "adj_t"):
-            raise ValueError(f"which must be 'adj' or 'adj_t', got {which!r}")
-        specs = self._manifest["arrays"]
-
-        def _ref(part: str) -> ArrayRef:
-            spec = specs[f"{which}.{part}"]
-            return ArrayRef(
-                path=str(self._root / spec["file"]),
-                dtype=spec["dtype"],
-                shape=(int(spec["length"]),),
-            )
-
-        n = self.num_nodes
-        return CsrRef(
-            indptr=_ref("indptr"),
-            indices=_ref("indices"),
-            data=_ref("data"),
-            shape=(n, n),
-        )
 
     def release_pages(self) -> None:
         """Advise the kernel to drop this graph's resident CSR pages.

@@ -99,7 +99,6 @@ class GSimIndex:
         recompress_tol: float | None = None,
         precision: str = "float64",
         max_workers: int | None = None,
-        backend: str = "thread",
     ) -> "GSimIndex":
         """Iterate GSim+ (QR-compressed cap, so the result stays factored)
         and wrap the final factors.
@@ -118,12 +117,10 @@ class GSimIndex:
         ``checkpoints`` / ``checkpoint_every`` / ``resume_from`` forward
         to :meth:`GSimPlus.iterate`, so an interrupted multi-hour build
         restarts at its last snapshotted iteration instead of from
-        scratch.  ``max_workers`` forwards to the solver's worker pool
-        (row-sharded SpMM; results are bit-identical at every count) and
-        ``backend`` selects thread or process workers — the process
-        backend ships (path, row-range) shard descriptors, which lets a
-        build over :class:`repro.graphs.mmap_csr.MmapCSRGraph` inputs
-        run GIL-free without copying the graphs anywhere.
+        scratch.  ``max_workers`` forwards to the solver's worker threads
+        (row-sharded SpMM; results are bit-identical at every count),
+        which share :class:`repro.graphs.mmap_csr.MmapCSRGraph` inputs
+        without copying them.
         """
         iterations = check_positive_integer(iterations, "iterations")
         if context is None:
@@ -136,7 +133,6 @@ class GSimIndex:
             recompress_tol=recompress_tol,
             precision=precision,
             max_workers=max_workers,
-            backend=backend,
         )
         state = None
         with context.metrics.time("index.build"), context.tracer.span(

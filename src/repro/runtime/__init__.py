@@ -45,7 +45,6 @@ from repro.runtime.metrics import (
     histogram_bucket_bounds,
 )
 from repro.runtime.parallel import WorkerPool, shard_ranges, shard_rows_by_nnz
-from repro.runtime.procpool import ArrayRef, CsrRef
 from repro.runtime.trace import (
     NULL_TRACER,
     NullTracer,
@@ -76,14 +75,12 @@ from repro.runtime.telemetry import (
 )
 
 __all__ = [
-    "ArrayRef",
     "BudgetExceeded",
     "CancellationToken",
     "Cancelled",
     "Checkpoint",
     "CheckpointManager",
     "CorruptArtifactError",
-    "CsrRef",
     "Deadline",
     "DeadlineExceeded",
     "ExecutionContext",

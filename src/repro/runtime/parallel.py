@@ -5,25 +5,13 @@ scans, the independent sweep cells, batched index queries — decomposes
 into *shards* whose results are merged deterministically.  This module
 provides the one pool abstraction they all share:
 
-* :class:`WorkerPool` — a shard executor with two backends and an
-  explicit serial mode (``max_workers=1`` executes shards inline in the
-  calling thread, the default everywhere: no entry point spawns workers
-  unless asked).
-
-  ``backend="thread"`` (default): the BLAS-backed dense GEMMs and
-  scipy's sparse-times-dense kernels release the GIL, so threads give
-  real parallelism on those paths with zero serialisation cost.
-
-  ``backend="process"``: a persistent ``ProcessPoolExecutor`` for the
-  kernels that *hold* the GIL (blocked top-k selection, per-row Python
-  loops).  Work must be shipped as (module-level function, picklable
-  descriptor) pairs — see :mod:`repro.runtime.procpool` for the
-  (mmap path, row-range) descriptors that keep shard payloads at a few
-  hundred bytes regardless of array size.  Worker processes pin their
-  BLAS pools via :mod:`_repro_blas_pin` (mirroring the CI pinning) so a
-  w-process pool never oversubscribes cores with w × BLAS threads; the
-  *effective* in-worker thread count is probed and recorded in
-  ``parallel.worker_blas_threads``.
+* :class:`WorkerPool` — a thread pool with an explicit serial mode
+  (``max_workers=1`` executes shards inline in the calling thread, the
+  default everywhere: no entry point spawns workers unless asked).
+  BLAS-backed dense GEMMs and scipy's sparse-times-dense kernels release
+  the GIL, so threads give real parallelism on those paths with zero
+  serialisation cost, and workers share the caller's arrays (including
+  memory-mapped graphs) without copying them.
 * :func:`shard_ranges` — contiguous ``(start, stop)`` row ranges of
   near-equal size.
 * :func:`shard_rows_by_nnz` — contiguous CSR row ranges balanced by
@@ -49,43 +37,23 @@ Cooperation with :class:`repro.runtime.ExecutionContext`:
 Determinism: :meth:`WorkerPool.map` returns results in submission order
 regardless of completion order, so any shard decomposition whose merge
 is order-independent (or performed on the ordered result list) yields
-results independent of ``max_workers`` — and of the backend.
+results independent of ``max_workers``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
-import weakref
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-import _repro_blas_pin
 from repro.runtime.context import ExecutionContext
 from repro.runtime.trace import NULL_TRACER
 
 __all__ = ["WorkerPool", "shard_ranges", "shard_rows_by_nnz"]
-
-_BACKENDS = ("thread", "process")
-
-
-def _probe_worker() -> dict[str, int]:
-    """Runs inside a pool worker: report identity and BLAS pinning truth."""
-    return {
-        "pid": os.getpid(),
-        "blas_threads": _repro_blas_pin.effective_blas_threads(),
-    }
-
-
-def _default_mp_context() -> str:
-    """``fork`` where available (no per-worker interpreter+numpy warm-up,
-    ~ms instead of seconds to start a pool); ``spawn`` elsewhere."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -149,28 +117,14 @@ def shard_rows_by_nnz(
 
 
 class WorkerPool:
-    """A shard executor: workers when ``max_workers > 1``, inline otherwise.
+    """A shard executor: threads when ``max_workers > 1``, inline otherwise.
 
     Parameters
     ----------
     max_workers:
-        Worker count.  ``None`` resolves to ``os.cpu_count()``; ``1`` is
-        the serial mode (shards run inline, in order, in the calling
-        thread — the determinism-debugging configuration).
-    backend:
-        ``"thread"`` (default) or ``"process"``.  The process backend
-        keeps one persistent ``ProcessPoolExecutor`` per pool (started
-        lazily on the first parallel :meth:`map`), whose workers pin
-        their BLAS thread pools to 1 (mirroring the CI pinning) so w
-        processes never fan out into w × BLAS threads.  Process shards
-        must be (module-level function, picklable item) pairs; closures
-        are a thread/serial-only convenience.
-    mp_context:
-        Multiprocessing start method for the process backend: ``"fork"``
-        (default where available — instant pool start, inherits the
-        parent's BLAS state), ``"spawn"`` (slower start, but the BLAS
-        pin is applied *before* numpy loads, so it is authoritative), or
-        ``"forkserver"``.
+        Worker thread count.  ``None`` resolves to ``os.cpu_count()``;
+        ``1`` is the serial mode (shards run inline, in order, in the
+        calling thread — the determinism-debugging configuration).
 
     Examples
     --------
@@ -181,23 +135,9 @@ class WorkerPool:
     True
     """
 
-    __slots__ = (
-        "max_workers",
-        "backend",
-        "mp_context",
-        "_executor",
-        "_executor_lock",
-        "_worker_info",
-        "_finalizer",
-        "__weakref__",
-    )
+    __slots__ = ("max_workers",)
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        backend: str = "thread",
-        mp_context: str | None = None,
-    ) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         if not isinstance(max_workers, (int, np.integer)) or isinstance(
@@ -206,98 +146,23 @@ class WorkerPool:
             raise TypeError(f"max_workers must be an int, got {max_workers!r}")
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
         self.max_workers = int(max_workers)
-        self.backend = backend
-        self.mp_context = mp_context or _default_mp_context()
-        self._executor: Executor | None = None
-        self._executor_lock = threading.Lock()
-        self._worker_info: dict[str, int] | None = None
-        self._finalizer = None
 
     @classmethod
-    def resolve(
-        cls,
-        workers: "WorkerPool | int | None",
-        backend: str | None = None,
-    ) -> "WorkerPool":
+    def resolve(cls, workers: "WorkerPool | int | None") -> "WorkerPool":
         """Normalise an entry-point argument into a pool.
 
         ``None`` means *serial* (the library never threads unless asked),
-        an int is a worker count, and an existing pool passes through
-        (its own backend wins — ``backend`` only applies when a pool is
-        being created here).
+        an int is a worker count, and an existing pool passes through.
         """
         if isinstance(workers, cls):
             return workers
-        if workers is None:
-            return cls(max_workers=1, backend=backend or "thread")
-        return cls(max_workers=workers, backend=backend or "thread")
+        return cls(max_workers=1 if workers is None else workers)
 
     @property
     def serial(self) -> bool:
         """True when shards run inline in the calling thread."""
         return self.max_workers == 1
-
-    @property
-    def process_parallel(self) -> bool:
-        """True when shards cross a process boundary (descriptor path)."""
-        return self.backend == "process" and not self.serial
-
-    # ------------------------------------------------------------------
-    # Process-backend executor lifecycle
-    # ------------------------------------------------------------------
-    def _process_executor(self) -> Executor:
-        """The persistent process executor, started on first use.
-
-        Workers run :func:`_repro_blas_pin.initialize` as their
-        initializer; one probe task then records the *effective* BLAS
-        thread count (env intent and loaded-library truth can differ
-        under ``fork``) into :attr:`worker_info`.
-        """
-        with self._executor_lock:
-            if self._executor is None:
-                context = multiprocessing.get_context(self.mp_context)
-                executor = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    mp_context=context,
-                    initializer=_repro_blas_pin.initialize,
-                    initargs=(1,),
-                )
-                self._worker_info = executor.submit(_probe_worker).result()
-                self._executor = executor
-                self._finalizer = weakref.finalize(
-                    self, _shutdown_executor, executor
-                )
-            return self._executor
-
-    @property
-    def worker_info(self) -> dict[str, int] | None:
-        """Probe result from the process workers (None until first use)."""
-        return self._worker_info
-
-    def shutdown(self) -> None:
-        """Stop the persistent process executor (no-op for threads/serial).
-
-        The pool remains usable: the next process-parallel ``map`` starts
-        a fresh executor.
-        """
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-            if self._finalizer is not None:
-                self._finalizer.detach()
-                self._finalizer = None
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
 
     def map(
         self,
@@ -332,8 +197,6 @@ class WorkerPool:
                 self._run_shard(fn, item, context, what, tracer, parent)
                 for item in work
             ]
-        if self.backend == "process":
-            return self._map_process(fn, work, context, what, tracer, parent)
         abort = threading.Event()
 
         def _guarded(item: T) -> R:
@@ -362,60 +225,6 @@ class WorkerPool:
                 raise first_error
             return results
 
-    def _map_process(
-        self,
-        fn: Callable[[T], R],
-        work: Sequence[T],
-        context: ExecutionContext | None,
-        what: str,
-        tracer,
-        parent,
-    ) -> list[R]:
-        """Ship shards to the persistent process executor.
-
-        ``fn`` and every item must be picklable (module-level kernels over
-        :mod:`repro.runtime.procpool` descriptors).  Semantics match the
-        thread path: results in submission order, the first failure in
-        submission order wins and not-yet-started shards are cancelled.
-        The context cannot cross the process boundary, so cancellation /
-        deadline / fault-injection fire at batch granularity in the
-        parent, and per-shard wall time is observed from the parent's
-        side of each future.
-        """
-        executor = self._process_executor()
-        if context is not None and self._worker_info is not None:
-            context.metrics.set_gauge(
-                "parallel.worker_blas_threads",
-                float(self._worker_info["blas_threads"]),
-            )
-            context.metrics.record_max(
-                "parallel.process_workers", self.max_workers
-            )
-        start = time.perf_counter()
-        with tracer.span("parallel.process_batch", parent=parent) as span:
-            span.set_attribute("what", what)
-            span.set_attribute("shards", len(work))
-            futures = [executor.submit(fn, item) for item in work]
-            results: list[R] = []
-            first_error: BaseException | None = None
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    if first_error is None:
-                        first_error = exc
-                        for pending in futures:
-                            pending.cancel()
-            if context is not None:
-                context.metrics.add_time(
-                    "parallel.shard_seconds", time.perf_counter() - start
-                )
-                context.metrics.increment("parallel.shards", len(work))
-                context.checkpoint(what)
-            if first_error is not None:
-                raise first_error
-            return results
-
     @staticmethod
     def _run_shard(
         fn: Callable[[T], R],
@@ -440,13 +249,5 @@ class WorkerPool:
             context.metrics.increment("parallel.shards")
 
     def __repr__(self) -> str:
-        return (
-            f"WorkerPool(max_workers={self.max_workers}, "
-            f"backend={self.backend!r})"
-        )
+        return f"WorkerPool(max_workers={self.max_workers})"
 
-
-def _shutdown_executor(executor: Executor) -> None:
-    """GC finalizer for a pool's process executor (module-level so the
-    finalizer holds no reference back to the pool)."""
-    executor.shutdown(wait=False, cancel_futures=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Graph, gsim, gsim_partial
-from repro.utils.deadline import DeadlineExceeded, WallClockDeadline
+from repro.runtime import DeadlineExceeded, WallClockDeadline
 
 
 class TestGSim:

@@ -5,7 +5,7 @@ import pytest
 from repro import Graph
 from repro.baselines import NEDIndex, ned_distance, ned_query
 from repro.baselines.ned import TreeSizeLimitExceeded
-from repro.utils.deadline import DeadlineExceeded, WallClockDeadline
+from repro.runtime import DeadlineExceeded, WallClockDeadline
 
 
 class TestNEDIndex:

@@ -8,7 +8,9 @@ step with pinned BLAS thread counts.  The load-bearing claims:
   ``max_workers`` in {1, 2, 4};
 * cancellation and deadline expiry propagate out of worker threads as
   the same structured exceptions the serial path raises;
-* the bounded-memory scans stay within their ledger budget.
+* the bounded-memory scans stay within their ledger budget, and one
+  dense fallback step holds at most about four ``|Z|``-sized arrays at
+  any worker count.
 """
 
 from __future__ import annotations
@@ -30,20 +32,23 @@ from repro.experiments.runner import (
     ExperimentConfig,
     run_cells,
 )
-from repro.graphs.generators import rmat_graph
+from repro.graphs.generators import erdos_renyi_graph, rmat_graph
 from repro.retrieval.index import GSimIndex
 from repro.runtime import (
     CancellationToken,
     Cancelled,
     DeadlineExceeded,
     ExecutionContext,
+    FaultInjector,
     MemoryLedger,
+    Tracer,
     WallClockDeadline,
     WorkerPool,
 )
 from repro.runtime.errors import TransientError
 from repro.runtime.parallel import shard_ranges, shard_rows_by_nnz
 from repro.runtime.resilience import RetryPolicy
+from repro.utils.memory import MemoryTracker
 
 pytestmark = pytest.mark.parallel
 
@@ -190,6 +195,42 @@ class TestFactorStepEquivalence:
         counters = context.metrics.snapshot()["counters"]
         assert counters["gsim_plus.shard_cache_hits"] > 0
         assert counters["gsim_plus.transpose_cache_hits"] > 0
+
+    def test_serial_steps_run_inline(self, graph_pair):
+        """A serial solver runs every step inline on the whole operands:
+        no shard cache, no pool metrics or spans, and one checkpoint per
+        iteration, through both the factor and the dense steps."""
+        graph_a, graph_b = graph_pair
+        injector = FaultInjector(probability=0.0)
+        tracer = Tracer()
+        context = ExecutionContext(fault_injector=injector, tracer=tracer)
+        solver = GSimPlus(graph_a, graph_b)
+        assert solver.run(10, context=context).used_dense_fallback
+        assert solver._shard_cache == {}
+        counters = context.metrics.snapshot()["counters"]
+        assert not [
+            name for name in counters
+            if name.startswith("parallel.") or name == "gsim_plus.shard_cache_hits"
+        ]
+        assert {span.name for span in tracer.spans()} == {"gsim_plus.iterate"}
+        assert injector.checkpoints_seen == 10
+
+    def test_dense_step_peak_memory_bounded(self):
+        """Z^T, P = Z B^T and Q = Z B, then P, Q, the update and one
+        shard product: a dense step never holds more than four
+        ``|Z|``-sized arrays, however the rows are sharded."""
+        graph_a = erdos_renyi_graph(600, 3000, seed=21)
+        graph_b = erdos_renyi_graph(400, 2000, seed=22)
+        assert GSimPlus(graph_a, graph_b).run(10).used_dense_fallback
+        z = np.random.default_rng(0).random((600, 400))
+        for workers in WORKER_COUNTS:
+            solver = GSimPlus(graph_a, graph_b, max_workers=workers)
+            solver._step_dense(z)  # cuts and caches the CSR row shards
+            with MemoryTracker() as tracker:
+                solver._step_dense(z)
+            assert tracker.peak_bytes <= 4.5 * z.nbytes, (
+                workers, tracker.peak_bytes / z.nbytes
+            )
 
 
 # ----------------------------------------------------------------------

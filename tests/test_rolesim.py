@@ -5,7 +5,7 @@ import pytest
 
 from repro import Graph
 from repro.baselines import rolesim, rolesim_query
-from repro.utils.deadline import DeadlineExceeded, WallClockDeadline
+from repro.runtime import DeadlineExceeded, WallClockDeadline
 
 
 class TestRoleSimProperties:

@@ -1,4 +1,4 @@
-"""Out-of-core CSR graphs and the process-pool backend (``scale`` marker).
+"""Out-of-core CSR graphs (``scale`` marker).
 
 The load-bearing claims, mirroring the parallel suite's contract:
 
@@ -8,8 +8,8 @@ The load-bearing claims, mirroring the parallel suite's contract:
 * the converter is crash-safe: killed at any checkpoint, a resumed run
   publishes a manifest whose content checksum equals a clean convert's;
 * ``gsim_plus`` / ``top_k_pairs`` / ``top_k_for_queries`` return
-  bit-identical results across ``backend`` in {thread, process},
-  ``max_workers`` in {1, 2, 4}, and in-memory vs mmap-backed graphs;
+  bit-identical results for in-memory and mmap-backed graphs at
+  ``max_workers`` in {1, 2, 4} worker threads;
 * memmap arrays are charged at their *resident* estimate, not their
   virtual ``nbytes``.
 """
@@ -21,7 +21,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.embeddings import LowRankFactors
 from repro.core.gsim_plus import gsim_plus
 from repro.core.topk import top_k_for_queries, top_k_pairs
 from repro.graphs import MmapCSRGraph, convert_edge_list, read_edge_list
@@ -30,7 +29,6 @@ from repro.runtime import (
     FaultInjector,
     InjectedFault,
     MemoryLedger,
-    Metrics,
     WorkerPool,
 )
 from repro.utils.memory import RESIDENT_WINDOW_BYTES, resident_estimate, resident_nbytes
@@ -84,15 +82,17 @@ def graph_pairs(edge_files, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def pools():
-    """One persistent pool per (backend, workers) cell, shut down at teardown."""
-    built = {
-        (backend, w): WorkerPool(max_workers=w, backend=backend)
-        for backend in ("thread", "process")
-        for w in WORKER_COUNTS
-    }
-    yield built
-    for pool in built.values():
-        pool.shutdown()
+    """One thread pool per worker count."""
+    return {w: WorkerPool(max_workers=w) for w in WORKER_COUNTS}
+
+
+def _storages(graph_pairs):
+    """(label, graph_a, graph_b) for the in-memory and the mmap pair."""
+    mem, mm = graph_pairs
+    return [
+        ("in-memory", mem["a"], mem["b"]),
+        ("mmap", mm["a"], mm["b"]),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -217,131 +217,55 @@ def test_convert_crash_resume_checksum_identical(
 
 
 # ---------------------------------------------------------------------------
-# cross-backend bit-identity
+# bit-identity across storage and worker threads
 # ---------------------------------------------------------------------------
 
 
-def _similarity(graph_a, graph_b, max_workers=None, backend="thread"):
+def _similarity(graph_a, graph_b, max_workers=None):
     return gsim_plus(
-        graph_a,
-        graph_b,
-        iterations=6,
-        max_workers=max_workers,
-        backend=backend,
+        graph_a, graph_b, iterations=6, max_workers=max_workers
     ).similarity
 
 
 def test_gsim_plus_backend_bit_identity(graph_pairs, pools):
-    mem, mm = graph_pairs
+    mem, _ = graph_pairs
     reference = _similarity(mem["a"], mem["b"])
-    for (backend, workers), pool in pools.items():
-        got = _similarity(mem["a"], mem["b"], max_workers=pool)
-        assert np.array_equal(got, reference), (backend, workers)
-    # mmap-backed graphs ship (path, row-range) descriptors; results are
-    # still bit-identical to the in-memory serial reference.
-    assert np.array_equal(_similarity(mm["a"], mm["b"]), reference)
-    mmap_proc = _similarity(
-        mm["a"], mm["b"], max_workers=pools[("process", 2)]
-    )
-    assert np.array_equal(mmap_proc, reference)
+    for storage, graph_a, graph_b in _storages(graph_pairs):
+        for workers, pool in pools.items():
+            got = _similarity(graph_a, graph_b, max_workers=pool)
+            assert np.array_equal(got, reference), (storage, workers)
 
 
 def test_top_k_pairs_backend_bit_identity(graph_pairs, pools):
-    mem, mm = graph_pairs
+    mem, _ = graph_pairs
     reference = top_k_pairs(mem["a"], mem["b"], k=25, iterations=6, block_rows=17)
-    for (backend, workers), pool in pools.items():
-        got = top_k_pairs(
-            mem["a"], mem["b"], k=25, iterations=6, block_rows=17, max_workers=pool
-        )
-        assert got == reference, (backend, workers)
-    mmap_got = top_k_pairs(
-        mm["a"],
-        mm["b"],
-        k=25,
-        iterations=6,
-        block_rows=17,
-        max_workers=pools[("process", 4)],
-    )
-    assert mmap_got == reference
+    for storage, graph_a, graph_b in _storages(graph_pairs):
+        for workers, pool in pools.items():
+            got = top_k_pairs(
+                graph_a, graph_b, k=25, iterations=6, block_rows=17,
+                max_workers=pool,
+            )
+            assert got == reference, (storage, workers)
 
 
 def test_top_k_for_queries_backend_bit_identity(graph_pairs, pools):
-    mem, mm = graph_pairs
+    mem, _ = graph_pairs
     queries = [0, 5, 5, 17, 3, 59, 28]
     reference = top_k_for_queries(
         mem["a"], mem["b"], queries, k=7, iterations=6, block_rows=2
     )
-    for (backend, workers), pool in pools.items():
-        got = top_k_for_queries(
-            mem["a"],
-            mem["b"],
-            queries,
-            k=7,
-            iterations=6,
-            block_rows=2,
-            max_workers=pool,
-        )
-        assert got == reference, (backend, workers)
-    mmap_got = top_k_for_queries(
-        mm["a"],
-        mm["b"],
-        queries,
-        k=7,
-        iterations=6,
-        block_rows=2,
-        max_workers=pools[("process", 2)],
-    )
-    assert mmap_got == reference
-
-
-# ---------------------------------------------------------------------------
-# process-pool semantics
-# ---------------------------------------------------------------------------
-
-
-def _square(x):
-    return x * x
-
-
-def _fail_on_three(x):
-    if x == 3:
-        raise ValueError("shard three exploded")
-    return x
-
-
-def test_process_pool_preserves_submission_order(pools):
-    pool = pools[("process", 4)]
-    assert pool.map(_square, list(range(32))) == [i * i for i in range(32)]
-
-
-def test_process_pool_propagates_first_error(pools):
-    pool = pools[("process", 2)]
-    with pytest.raises(ValueError, match="shard three exploded"):
-        pool.map(_fail_on_three, [1, 2, 3, 4, 5])
-    # The pool stays usable after a failed batch.
-    assert pool.map(_square, [5, 6]) == [25, 36]
-
-
-def test_process_pool_pins_worker_blas_threads(pools):
-    pool = pools[("process", 2)]
-    metrics = Metrics()
-    context = ExecutionContext(metrics=metrics)
-    pool.map(_square, [1, 2, 3, 4], context=context)
-    info = pool.worker_info
-    assert info is not None
-    assert info["blas_threads"] == 1
-    pool.map(_square, [1, 2], context=context)
-    assert metrics.snapshot()["gauges"]["parallel.worker_blas_threads"] == 1.0
-
-
-def test_resolve_existing_pool_backend_wins(pools):
-    pool = pools[("process", 2)]
-    resolved = WorkerPool.resolve(pool, backend="thread")
-    assert resolved is pool
-    assert resolved.backend == "process"
-    fresh = WorkerPool.resolve(2, backend="process")
-    assert fresh.backend == "process" and fresh.max_workers == 2
-    fresh.shutdown()
+    for storage, graph_a, graph_b in _storages(graph_pairs):
+        for workers, pool in pools.items():
+            got = top_k_for_queries(
+                graph_a,
+                graph_b,
+                queries,
+                k=7,
+                iterations=6,
+                block_rows=2,
+                max_workers=pool,
+            )
+            assert got == reference, (storage, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +288,6 @@ def test_resident_estimate_window():
     assert resident_estimate(100) == 100
     big = 4 * RESIDENT_WINDOW_BYTES
     assert resident_estimate(big) == RESIDENT_WINDOW_BYTES
-
-
-def test_factors_resident_matches_nbytes_for_heap_arrays():
-    u = np.ones((8, 3))
-    v = np.ones((5, 3))
-    factors = LowRankFactors(u, v)
-    assert factors.resident_nbytes == factors.nbytes
 
 
 def test_ledger_charges_resident_not_virtual(graph_pairs):

@@ -6,7 +6,7 @@ import pytest
 from repro import Graph
 from repro.baselines import StructSimIndex, structsim_query
 from repro.baselines.structsim import _degree_bin
-from repro.utils.deadline import DeadlineExceeded, WallClockDeadline
+from repro.runtime import DeadlineExceeded, WallClockDeadline
 
 
 class TestDegreeBins:

@@ -1,10 +1,12 @@
-"""Unit tests for repro.utils (rng, timing, memory, validation, deadline)."""
+"""Unit tests for repro.utils (rng, timing, memory, validation) and the
+wall-clock deadline."""
 
 import time
 
 import numpy as np
 import pytest
 
+from repro.runtime import DeadlineExceeded, WallClockDeadline
 from repro.utils import (
     MemoryTracker,
     Stopwatch,
@@ -18,7 +20,6 @@ from repro.utils import (
     spawn_rngs,
     time_call,
 )
-from repro.utils.deadline import DeadlineExceeded, WallClockDeadline
 
 
 class TestRng:
