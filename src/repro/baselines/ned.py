@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from repro.graphs.graph import Graph
-from repro.runtime import ExecutionContext, WallClockDeadline
+from repro.runtime import NULL_CONTEXT, ExecutionContext
 from repro.utils.validation import check_nonnegative_integer
 
 __all__ = ["NEDIndex", "TreeSizeLimitExceeded", "ned_distance", "ned_query"]
@@ -107,8 +107,7 @@ def _pairwise_distance(
     node_b: int,
     depth: int,
     memo: dict[tuple[int, int, int], float],
-    deadline: WallClockDeadline | None = None,
-    context: ExecutionContext | None = None,
+    context: ExecutionContext,
 ) -> float:
     """Tree edit distance between depth-limited adjacent trees (memoised)."""
     if depth == 0:
@@ -116,17 +115,13 @@ def _pairwise_distance(
     key = (depth, node_a, node_b)
     cached = memo.get(key)
     if cached is not None:
-        if context is not None:
-            context.metrics.increment("ned.memo_hits")
+        context.metrics.increment("ned.memo_hits")
         return cached
     # A single pair on a hubby graph can spend minutes inside this
-    # recursion, so the deadline (and context) is checked per uncached
-    # subproblem, not just between query pairs.
-    if context is not None:
-        context.checkpoint("NED subtree matching")
-        context.metrics.increment("ned.subproblems")
-    if deadline is not None:
-        deadline.check("NED subtree matching")
+    # recursion, so the context is checked per uncached subproblem, not
+    # just between query pairs.
+    context.checkpoint("NED subtree matching")
+    context.metrics.increment("ned.subproblems")
     children_a = index_a.neighbours(node_a)
     children_b = index_b.neighbours(node_b)
     na, nb = len(children_a), len(children_b)
@@ -155,7 +150,7 @@ def _pairwise_distance(
     for i, ca in enumerate(children_a):
         for j, cb in enumerate(children_b):
             costs[i, j] = _pairwise_distance(
-                index_a, index_b, int(ca), int(cb), depth - 1, memo, deadline, context
+                index_a, index_b, int(ca), int(cb), depth - 1, memo, context
             )
     # Matching child i of A with a dummy = deleting its subtree.
     costs[:na, nb:] = np.inf
@@ -192,7 +187,9 @@ def ned_distance(
     index_a = NEDIndex(graph_a, depth, size_limit=size_limit)
     index_b = NEDIndex(graph_b, depth, size_limit=size_limit)
     memo: dict[tuple[int, int, int], float] = {}
-    return _pairwise_distance(index_a, index_b, node_a, node_b, depth, memo)
+    return _pairwise_distance(
+        index_a, index_b, node_a, node_b, depth, memo, NULL_CONTEXT
+    )
 
 
 def ned_query(
@@ -202,39 +199,28 @@ def ned_query(
     queries_b: np.ndarray | list[int],
     depth: int = 3,
     size_limit: int = 2_000_000,
-    deadline: WallClockDeadline | None = None,
     context: ExecutionContext | None = None,
 ) -> np.ndarray:
     """NED similarity block ``1 / (1 + distance)`` over the query pairs.
 
     Each pair is a fresh single-pair computation (NED's design); the memo
     is shared across pairs so overlapping neighbourhoods are not re-solved.
-    The optional ``deadline`` (or ``context``) is checked between pairs
-    and per uncached subproblem.
+    The optional ``context`` is checked between pairs and per uncached
+    subproblem.
     """
     rows = np.asarray(queries_a, dtype=np.int64)
     cols = np.asarray(queries_b, dtype=np.int64)
     index_a = NEDIndex(graph_a, depth, size_limit=size_limit)
     index_b = NEDIndex(graph_b, depth, size_limit=size_limit)
     memo: dict[tuple[int, int, int], float] = {}
+    context = ExecutionContext.resolve(context)
     block = np.empty((rows.size, cols.size))
     for i, node_a in enumerate(rows):
         for j, node_b in enumerate(cols):
-            if context is not None:
-                context.checkpoint("NED pair queries")
-            if deadline is not None:
-                deadline.check("NED pair queries")
+            context.checkpoint("NED pair queries")
             distance = _pairwise_distance(
-                index_a,
-                index_b,
-                int(node_a),
-                int(node_b),
-                depth,
-                memo,
-                deadline,
-                context,
+                index_a, index_b, int(node_a), int(node_b), depth, memo, context
             )
             block[i, j] = 1.0 / (1.0 + distance)
-            if context is not None:
-                context.metrics.increment("ned.pairs")
+            context.metrics.increment("ned.pairs")
     return block

@@ -84,10 +84,9 @@ import scipy.sparse as sp
 
 from repro.core.embeddings import LowRankFactors, TruncationInfo
 from repro.graphs.graph import Graph
-from repro.runtime import ExecutionContext
+from repro.runtime import NULL_CONTEXT, ExecutionContext
 from repro.runtime.parallel import WorkerPool, shard_rows_by_nnz
 from repro.runtime.resilience import Checkpoint, CheckpointManager
-from repro.runtime.trace import NULL_TRACER
 from repro.utils.memory import dense_matrix_bytes
 from repro.utils.validation import check_nonnegative_integer, resolve_node_index
 
@@ -330,9 +329,7 @@ class GSimPlus:
     # ------------------------------------------------------------------
     # Iteration core
     # ------------------------------------------------------------------
-    def _healed(
-        self, array: np.ndarray, context: ExecutionContext | None
-    ) -> np.ndarray:
+    def _healed(self, array: np.ndarray, context: ExecutionContext) -> np.ndarray:
         """Repair non-finite entries in an iteration update (in place).
 
         NaNs become 0; ±inf is clamped to the largest finite magnitude
@@ -350,47 +347,42 @@ class GSimPlus:
         if cap == 0.0:
             cap = 1.0
         np.nan_to_num(array, copy=False, nan=0.0, posinf=cap, neginf=-cap)
-        if context is not None:
-            context.metrics.increment("gsim_plus.nonfinite_repairs", repaired)
-            context.tracer.event(
-                "gsim_plus.nonfinite_repair", severity="warning", repaired=repaired
-            )
+        context.metrics.increment("gsim_plus.nonfinite_repairs", repaired)
+        context.tracer.event(
+            "gsim_plus.nonfinite_repair", severity="warning", repaired=repaired
+        )
         return array
 
-    def _shards(
-        self, context: ExecutionContext | None, *names: str
-    ) -> list[tuple]:
+    def _shards(self, context: ExecutionContext, *names: str) -> list[tuple]:
         """Row shards ``(start, stop, *rows)`` of same-shaped CSR operands.
 
         Serially there is one shard: the operands themselves, with no CSR
         row-slice copy.  Otherwise the rows are cut where the
         operands' combined nnz balances across the workers; slicing a CSR
         by rows copies the slice, so the cuts are made once per solver
-        (not once per iteration), cached, and counted in
-        ``gsim_plus.shard_cache_hits`` at every use.
+        (not once per iteration) and cached.  Every later use of a cached
+        entry counts in ``gsim_plus.shard_cache_hits``.
         """
         matrices = [self._operands[name] for name in names]
         if self._pool.serial:
             return [(0, matrices[0].shape[0], *matrices)]
-        if context is not None:
-            context.metrics.increment("gsim_plus.shard_cache_hits")
         cached = self._shard_cache.get(names)
-        if cached is None:
-            nnz = sum(np.asarray(m.indptr, dtype=np.int64) for m in matrices)
-            cached = [
-                (start, stop, *(m[start:stop] for m in matrices))
-                for start, stop in shard_rows_by_nnz(
-                    nnz, self._pool.max_workers
-                )
-            ]
-            self._shard_cache[names] = cached
+        if cached is not None:
+            context.metrics.increment("gsim_plus.shard_cache_hits")
+            return cached
+        nnz = sum(np.asarray(m.indptr, dtype=np.int64) for m in matrices)
+        cached = [
+            (start, stop, *(m[start:stop] for m in matrices))
+            for start, stop in shard_rows_by_nnz(nnz, self._pool.max_workers)
+        ]
+        self._shard_cache[names] = cached
         return cached
 
     def _run(
         self,
         kernel: Callable[[tuple], None],
         tasks: list[tuple],
-        context: ExecutionContext | None,
+        context: ExecutionContext,
         what: str,
     ) -> None:
         """Run one stage's shard tasks: inline and unobserved when the
@@ -404,11 +396,14 @@ class GSimPlus:
 
     def _dense_fallback_charge(self) -> int:
         """Ledger charge for the dense rank-cap working set: the iterate
-        plus one update temporary."""
-        return 2 * dense_matrix_bytes(self.n_a, self.n_b, self._dtype.itemsize)
+        plus the four ``|Z|``-sized temporaries one :meth:`_step_dense`
+        call holds at its peak (``Z^T``, ``P``, ``Q`` and the update, see
+        :meth:`_dense_update`).  Charging less would let a budget admit
+        the step and still run out of memory inside it."""
+        return 5 * dense_matrix_bytes(self.n_a, self.n_b, self._dtype.itemsize)
 
     def _step_factors(
-        self, factors: LowRankFactors, context: ExecutionContext | None = None
+        self, factors: LowRankFactors, context: ExecutionContext = NULL_CONTEXT
     ) -> LowRankFactors:
         """One Eq.(8)/(9) doubling step in factored form (lines 3-5).
 
@@ -437,8 +432,7 @@ class GSimPlus:
             out[start:stop, offset : offset + width] = shard @ dense
 
         self._run(_product, tasks, context, "GSim+ SpMM shards")
-        if context is not None:
-            context.metrics.increment("gsim_plus.transpose_cache_hits", 2)
+        context.metrics.increment("gsim_plus.transpose_cache_hits", 2)
         if self.numeric_guard:
             new_u = self._healed(new_u, context)
             new_v = self._healed(new_v, context)
@@ -448,7 +442,7 @@ class GSimPlus:
         self,
         factors: LowRankFactors,
         k: int,
-        context: ExecutionContext | None,
+        context: ExecutionContext,
     ) -> LowRankFactors:
         """Rank-bound the stepped factors at :attr:`recompress_tol`.
 
@@ -462,35 +456,27 @@ class GSimPlus:
         assert self.recompress_tol is not None
         width = factors.width
         workspace = factors.nbytes + 3 * width * width * factors.dtype.itemsize
-        if context is not None:
-            context.charge(workspace, f"GSim+ recompression (k={k})")
-        try:
+        with context.holding(workspace, f"GSim+ recompression (k={k})"):
             compact = factors.recompressed(self.recompress_tol)
-        finally:
-            if context is not None:
-                context.release(workspace)
         info = compact.truncation
         assert info is not None
-        if context is not None:
-            context.metrics.increment("gsim_plus.recompressions")
-            context.metrics.observe(
-                "gsim_plus.recompress_rank", info.retained_rank
-            )
-            context.metrics.set_gauge(
-                "gsim_plus.recompress_discarded_energy", info.discarded_energy
-            )
-            context.tracer.event(
-                "gsim_plus.recompress",
-                severity="info",
-                k=k,
-                width_before=width,
-                retained_rank=info.retained_rank,
-                discarded_energy=info.discarded_energy,
-            )
+        context.metrics.increment("gsim_plus.recompressions")
+        context.metrics.observe("gsim_plus.recompress_rank", info.retained_rank)
+        context.metrics.set_gauge(
+            "gsim_plus.recompress_discarded_energy", info.discarded_energy
+        )
+        context.tracer.event(
+            "gsim_plus.recompress",
+            severity="info",
+            k=k,
+            width_before=width,
+            retained_rank=info.retained_rank,
+            discarded_energy=info.discarded_energy,
+        )
         return compact
 
     def _step_dense(
-        self, z: np.ndarray, context: ExecutionContext | None = None
+        self, z: np.ndarray, context: ExecutionContext = NULL_CONTEXT
     ) -> tuple[np.ndarray, float]:
         """One Eq.(6a) step on a dense Z, renormalised to unit Frobenius.
 
@@ -501,8 +487,7 @@ class GSimPlus:
         iterate across the dense regime.
         """
         updated = self._dense_update(z, context)
-        if context is not None:
-            context.metrics.increment("gsim_plus.transpose_cache_hits", 2)
+        context.metrics.increment("gsim_plus.transpose_cache_hits", 2)
         if self.numeric_guard:
             updated = self._healed(updated, context)
         with np.errstate(over="ignore"):
@@ -516,17 +501,14 @@ class GSimPlus:
             updated = updated / amax
             log_shift = float(np.log(amax))
             norm = float(np.linalg.norm(updated))
-            if context is not None:
-                context.metrics.increment("gsim_plus.norm_rescales")
+            context.metrics.increment("gsim_plus.norm_rescales")
         if norm == 0.0:
             raise ZeroDivisionError(
                 "similarity iterate collapsed to zero (disconnected inputs?)"
             )
         return updated / norm, float(np.log(norm)) + log_shift
 
-    def _dense_update(
-        self, z: np.ndarray, context: ExecutionContext | None
-    ) -> np.ndarray:
+    def _dense_update(self, z: np.ndarray, context: ExecutionContext) -> np.ndarray:
         """``A Z B^T + A^T Z B`` in two stages of sparse-times-dense tasks.
 
         Stage 1 computes ``P = Z B^T = (B Z^T)^T`` and ``Q = Z B =
@@ -584,8 +566,8 @@ class GSimPlus:
 
         With an :class:`repro.runtime.ExecutionContext`, every iteration is
         a checkpoint: the deadline and cancellation token are polled, the
-        working set (factor arrays, or the dense iterate plus its update
-        temporary once the rank-cap fallback engages) is charged against
+        working set (factor arrays, or the dense iterate plus one step's
+        temporaries once the rank-cap fallback engages) is charged against
         the live memory budget *before* it is allocated, and the per-step
         width / spmm counts land in ``context.metrics`` under
         ``gsim_plus.*``.  Without a context, behaviour is unchanged.
@@ -614,6 +596,8 @@ class GSimPlus:
         if checkpoints is not None and checkpoint_every == 0:
             raise ValueError("checkpoint_every must be >= 1 when checkpointing")
         manager = _as_manager(checkpoints)
+        context = ExecutionContext.resolve(context)
+        tracer = context.tracer
         width_cap = min(self.n_a, self.n_b)
         factors: LowRankFactors | None = LowRankFactors(
             self._initial.u.copy(), self._initial.v.copy(), self._initial.log_scale
@@ -656,20 +640,15 @@ class GSimPlus:
                     float(snapshot.meta["log_scale"]),
                     truncation=truncation,
                 )
-            if context is not None:
-                context.metrics.increment("gsim_plus.resumed")
-                context.metrics.set_gauge("gsim_plus.resume_iteration", start_k)
-                context.tracer.event(
-                    "gsim_plus.resumed", severity="info", iteration=start_k
-                )
+            context.metrics.increment("gsim_plus.resumed")
+            context.metrics.set_gauge("gsim_plus.resume_iteration", start_k)
+            tracer.event("gsim_plus.resumed", severity="info", iteration=start_k)
         charged = 0
-        tracer = context.tracer if context is not None else NULL_TRACER
 
         def _account(num_bytes: int, what: str) -> None:
             # Swap the charged working set: release the previous charge,
             # then charge the new one (so a breach leaves nothing held).
             nonlocal charged
-            assert context is not None
             context.release(charged)
             charged = 0
             context.charge(num_bytes, what)
@@ -687,24 +666,21 @@ class GSimPlus:
                 if factors.truncation is not None:
                     meta["truncation"] = factors.truncation.to_dict()
                 manager.save(k, {"u": factors.u, "v": factors.v}, meta=meta)
-            if context is not None:
-                context.metrics.increment("gsim_plus.checkpoints_written")
+            context.metrics.increment("gsim_plus.checkpoints_written")
 
         try:
-            if context is not None:
-                if factors is not None:
-                    _account(factors.nbytes, "GSim+ initial factors")
-                    context.metrics.observe("gsim_plus.width", factors.width)
-                else:
-                    _account(
-                        self._dense_fallback_charge(),
-                        "GSim+ dense rank-cap fallback (resumed)",
-                    )
-                context.metrics.observe("gsim_plus.bytes_held", charged)
+            if factors is not None:
+                _account(factors.nbytes, "GSim+ initial factors")
+                context.metrics.observe("gsim_plus.width", factors.width)
+            else:
+                _account(
+                    self._dense_fallback_charge(),
+                    "GSim+ dense rank-cap fallback (resumed)",
+                )
+            context.metrics.observe("gsim_plus.bytes_held", charged)
             yield _IterationState(start_k, factors, dense_z, dense_log)
             for k in range(start_k + 1, iterations + 1):
-                if context is not None:
-                    context.checkpoint(f"GSim+ iteration {k}")
+                context.checkpoint(f"GSim+ iteration {k}")
                 with tracer.span("gsim_plus.iterate") as span:
                     span.set_attribute("k", k)
                     if dense_z is not None:
@@ -716,12 +692,11 @@ class GSimPlus:
                             # Paper §5.2.1 point 6: revert to traditional GSim
                             # once the doubled width exceeds min(n_A, n_B).
                             # Working set from here on: the dense iterate plus
-                            # one same-sized update temporary per step.
-                            if context is not None:
-                                _account(
-                                    self._dense_fallback_charge(),
-                                    "GSim+ dense rank-cap fallback",
-                                )
+                            # one step's temporaries.
+                            _account(
+                                self._dense_fallback_charge(),
+                                "GSim+ dense rank-cap fallback",
+                            )
                             tracer.event(
                                 "gsim_plus.dense_fallback",
                                 severity="warning",
@@ -753,27 +728,23 @@ class GSimPlus:
                                 and factors.width > width_cap
                             ):
                                 factors = factors.compressed()
-                            if context is not None:
-                                _account(
-                                    factors.nbytes, f"GSim+ factors (k={k})"
-                                )
+                            _account(factors.nbytes, f"GSim+ factors (k={k})")
                     span.set_attribute(
                         "width",
                         factors.width if factors is not None else width_cap,
                     )
                     if dense_z is not None:
                         span.set_attribute("z_log_norm", dense_log)
-                if context is not None:
-                    context.metrics.increment("gsim_plus.iterations")
-                    context.metrics.increment("gsim_plus.spmm", 4)
-                    context.metrics.observe(
-                        "gsim_plus.width",
-                        factors.width if factors is not None else width_cap,
-                    )
-                    context.metrics.observe("gsim_plus.bytes_held", charged)
-                    if dense_z is not None:
-                        context.metrics.increment("gsim_plus.dense_steps")
-                        context.metrics.set_gauge("gsim_plus.z_log_norm", dense_log)
+                context.metrics.increment("gsim_plus.iterations")
+                context.metrics.increment("gsim_plus.spmm", 4)
+                context.metrics.observe(
+                    "gsim_plus.width",
+                    factors.width if factors is not None else width_cap,
+                )
+                context.metrics.observe("gsim_plus.bytes_held", charged)
+                if dense_z is not None:
+                    context.metrics.increment("gsim_plus.dense_steps")
+                    context.metrics.set_gauge("gsim_plus.z_log_norm", dense_log)
                 if manager is not None and (
                     k % checkpoint_every == 0 or k == iterations
                 ):
@@ -782,9 +753,8 @@ class GSimPlus:
                         _snapshot_state(k)
                 yield _IterationState(k, factors, dense_z, dense_log)
         finally:
-            if context is not None and charged:
-                context.release(charged)
-                charged = 0
+            context.release(charged)
+            charged = 0
 
     # Fingerprint keys introduced after the v1 checkpoint format; an old
     # snapshot that predates them implicitly ran with these values.

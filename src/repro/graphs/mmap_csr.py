@@ -46,18 +46,15 @@ import json
 import mmap as _mmap_module
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
 from repro.graphs.io import CHUNK_EDGES, EdgeChunks, _check_mode, _warn_skips
+from repro.runtime.context import ExecutionContext
 from repro.runtime.resilience import atomic_write, content_checksum
 from repro.utils.memory import resident_nbytes
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.context import ExecutionContext
 
 __all__ = ["MmapCSRGraph", "convert_edge_list", "csr_from_arrays"]
 
@@ -360,18 +357,13 @@ def _publish_manifest(
         tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
 
 
-def _checkpoint(context: "ExecutionContext | None", what: str) -> None:
-    if context is not None:
-        context.checkpoint(what)
-
-
 def _count_stage(
     source: Path,
     root: Path,
     comment: str,
     mode: str,
     chunk_edges: int,
-    context: "ExecutionContext | None",
+    context: ExecutionContext,
 ) -> dict:
     """Pass 1: out-degree counts -> raw indptr; node count; raw nnz.
 
@@ -384,7 +376,7 @@ def _count_stage(
     with source.open("rb") as handle:
         chunks = EdgeChunks(handle, chunk_edges, comment, mode)
         for src, dst, _ in chunks:
-            _checkpoint(context, f"mmap convert count @edge {nnz}")
+            context.checkpoint(f"mmap convert count @edge {nnz}")
             max_id = max(max_id, int(src.max()), int(dst.max()))
             chunk_counts = np.bincount(src)
             counts = np.pad(counts, (0, max(0, chunk_counts.size - counts.size)))
@@ -433,7 +425,7 @@ def _scatter_stage(
     chunk_edges: int,
     num_nodes: int,
     raw_nnz: int,
-    context: "ExecutionContext | None",
+    context: ExecutionContext,
 ) -> None:
     """Pass 2: scatter (dst, weight) into per-row slots, file order kept."""
     indptr = np.fromfile(root / "raw.indptr.bin", dtype=np.int64)
@@ -449,7 +441,7 @@ def _scatter_stage(
         for src, dst, weight in EdgeChunks(
             handle, chunk_edges, comment, mode, num_nodes=num_nodes
         ):
-            _checkpoint(context, f"mmap convert scatter @edge {seen}")
+            context.checkpoint(f"mmap convert scatter @edge {seen}")
             order, slots = _append_slots(src, cursor)
             indices[slots] = dst[order]
             data[slots] = weight[order]
@@ -469,7 +461,7 @@ def _canonical_stage(
     raw_nnz: int,
     index_dtype: np.dtype,
     block_rows: int,
-    context: "ExecutionContext | None",
+    context: ExecutionContext,
 ) -> int:
     """Block-wise canonicalisation into the final ``adj.*`` arrays.
 
@@ -497,7 +489,7 @@ def _canonical_stage(
     ) as tmp_dat, tmp_idx.open("wb") as idx_handle, tmp_dat.open("wb") as dat_handle:
         for start in range(0, num_nodes, block_rows):
             stop = min(start + block_rows, num_nodes)
-            _checkpoint(context, f"mmap convert canonical @row {start}")
+            context.checkpoint(f"mmap convert canonical @row {start}")
             lo, hi = int(raw_indptr[start]), int(raw_indptr[stop])
             block = sp.csr_matrix(
                 (
@@ -528,7 +520,7 @@ def _transpose_stage(
     nnz: int,
     index_dtype: np.dtype,
     block_rows: int,
-    context: "ExecutionContext | None",
+    context: ExecutionContext,
 ) -> None:
     """Out-of-core ``A^T`` from the canonical ``A``.
 
@@ -564,7 +556,7 @@ def _transpose_stage(
         )
         for start in range(0, num_nodes, block_rows):
             stop = min(start + block_rows, num_nodes)
-            _checkpoint(context, f"mmap convert transpose @row {start}")
+            context.checkpoint(f"mmap convert transpose @row {start}")
             lo, hi = int(indptr[start]), int(indptr[stop])
             if hi == lo:
                 continue
@@ -595,7 +587,7 @@ def convert_edge_list(
     chunk_edges: int = CHUNK_EDGES,
     block_rows: int = 1 << 16,
     resume: bool = True,
-    context: "ExecutionContext | None" = None,
+    context: ExecutionContext | None = None,
 ) -> MmapCSRGraph:
     """Convert an edge-list file into an mmap-CSR artifact directory.
 
@@ -633,6 +625,8 @@ def convert_edge_list(
     whose manifest already exists is just loaded back.
     """
     _check_mode(mode)
+    context = ExecutionContext.resolve(context)
+    metrics = context.metrics
     source = Path(source)
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -643,18 +637,14 @@ def convert_edge_list(
         progress.stages = {}
         progress.clear()
 
-    def _metric(event: str, value: int = 1) -> None:
-        if context is not None:
-            context.metrics.increment(f"mmap_convert.{event}", value)
-
     count_meta = progress.done("count")
     if count_meta is None:
         count_meta = _count_stage(source, root, comment, mode, chunk_edges, context)
         _warn_skips(count_meta["skipped"], count_meta["first_skip_reason"], str(source))
         progress.complete("count", count_meta)
-        _metric("stages_run")
+        metrics.increment("mmap_convert.stages_run")
     else:
-        _metric("stages_resumed")
+        metrics.increment("mmap_convert.stages_resumed")
     num_nodes = int(count_meta["num_nodes"])
     raw_nnz = int(count_meta["raw_nnz"])
     index_dtype = _index_dtype(num_nodes, raw_nnz)
@@ -664,9 +654,9 @@ def convert_edge_list(
             source, root, comment, mode, chunk_edges, num_nodes, raw_nnz, context
         )
         progress.complete("scatter", {})
-        _metric("stages_run")
+        metrics.increment("mmap_convert.stages_run")
     else:
-        _metric("stages_resumed")
+        metrics.increment("mmap_convert.stages_resumed")
 
     canonical_meta = progress.done("canonical")
     if canonical_meta is None:
@@ -675,19 +665,19 @@ def convert_edge_list(
         )
         canonical_meta = {"nnz": nnz}
         progress.complete("canonical", canonical_meta)
-        _metric("stages_run")
+        metrics.increment("mmap_convert.stages_run")
     else:
-        _metric("stages_resumed")
+        metrics.increment("mmap_convert.stages_resumed")
     nnz = int(canonical_meta["nnz"])
 
     if progress.done("transpose") is None:
         _transpose_stage(root, num_nodes, nnz, index_dtype, block_rows, context)
         progress.complete("transpose", {})
-        _metric("stages_run")
+        metrics.increment("mmap_convert.stages_run")
     else:
-        _metric("stages_resumed")
+        metrics.increment("mmap_convert.stages_resumed")
 
-    _checkpoint(context, "mmap convert manifest")
+    context.checkpoint("mmap convert manifest")
     _publish_manifest(
         root,
         name=name or source.stem,
@@ -704,5 +694,5 @@ def convert_edge_list(
     for stale in ("raw.indptr.bin", "raw.indices.bin", "raw.data.bin"):
         (root / stale).unlink(missing_ok=True)
     progress.clear()
-    _metric("completed")
+    metrics.increment("mmap_convert.completed")
     return MmapCSRGraph(root)

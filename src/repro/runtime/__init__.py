@@ -1,8 +1,9 @@
 """Runtime layer: execution contexts, budgets, cancellation, metrics.
 
 Sits between :mod:`repro.utils` and the compute layers.  Every solver,
-retrieval, and serving loop in the library accepts an optional
-:class:`ExecutionContext` and, when given one, polls its deadline and
+retrieval, and serving loop in the library takes an
+:class:`ExecutionContext` (public entry points put the shared
+:data:`NULL_CONTEXT` in place of ``None``), polls its deadline and
 cancellation token at checkpoints, charges working sets against its live
 memory ledger, and records counters/timers/series into its
 :class:`Metrics` sink.  Budget breaches surface as structured
@@ -17,8 +18,11 @@ Tracing (:mod:`repro.runtime.trace`) rides the same context: attach a
 :class:`Tracer` and every instrumented loop records hierarchical spans
 (per iteration, per worker shard, per query) plus a bounded structured
 event log, exportable as Chrome ``trace_event`` JSON or summarised into
-a hot-path table.  Without one, the shared :data:`NULL_TRACER` keeps the
-hot path allocation-free.
+a hot-path table.  Request-level calls are observed through one
+primitive, :meth:`ExecutionContext.operation`, which writes the span,
+the latency histogram, the request/error counters and the slow-query
+record from one timing.  Without a tracer, the shared
+:data:`NULL_TRACER` keeps the hot path allocation-free.
 """
 
 from repro.runtime.budget import (
@@ -27,7 +31,7 @@ from repro.runtime.budget import (
     MemoryLedger,
     WallClockDeadline,
 )
-from repro.runtime.context import CancellationToken, ExecutionContext
+from repro.runtime.context import NULL_CONTEXT, CancellationToken, ExecutionContext
 from repro.runtime.errors import (
     BudgetExceeded,
     Cancelled,
@@ -93,6 +97,7 @@ __all__ = [
     "MemoryLedger",
     "Metrics",
     "MetricsExporter",
+    "NULL_CONTEXT",
     "NULL_TRACER",
     "NullTracer",
     "PeriodicFlusher",

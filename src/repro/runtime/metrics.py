@@ -277,25 +277,28 @@ class Metrics:
         a buggy instrument shows up in the export instead of skewing the
         percentiles.
         """
-        value = float(value)
         with self._lock:
-            if not math.isfinite(value) or value <= 0.0:
-                counter = f"{name}.invalid_observations"
-                self._counters[counter] = self._counters.get(counter, 0.0) + 1.0
-                return
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = _Histogram()
-            histogram.add(value)
+            self._observe_locked(name, float(value))
 
-    @contextmanager
-    def time_histogram(self, name: str) -> Iterator[None]:
-        """Context manager observing its block's wall time into ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe_histogram(name, time.perf_counter() - start)
+    def _observe_locked(self, name: str, value: float) -> None:
+        if not math.isfinite(value) or value <= 0.0:
+            counter = f"{name}.invalid_observations"
+            self._counters[counter] = self._counters.get(counter, 0.0) + 1.0
+            return
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = _Histogram()
+        histogram.add(value)
+
+    def _record_call(
+        self, histogram: str, seconds: float, counters: tuple[str, ...]
+    ) -> None:
+        """One operation's exit under one lock acquisition: ``seconds``
+        into ``histogram`` and one more on each of ``counters``."""
+        with self._lock:
+            self._observe_locked(histogram, float(seconds))
+            for counter in counters:
+                self._counters[counter] = self._counters.get(counter, 0.0) + 1.0
 
     def histogram(self, name: str) -> dict[str, Any]:
         """Snapshot form of histogram ``name`` (zero-count when absent).

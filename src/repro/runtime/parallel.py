@@ -51,7 +51,6 @@ from typing import Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from repro.runtime.context import ExecutionContext
-from repro.runtime.trace import NULL_TRACER
 
 __all__ = ["WorkerPool", "shard_ranges", "shard_rows_by_nnz"]
 
@@ -182,28 +181,24 @@ class WorkerPool:
         skipped.
         """
         work: Sequence[T] = list(items)
-        tracer = context.tracer if context is not None else NULL_TRACER
+        context = ExecutionContext.resolve(context)
         # Captured in the submitting thread: worker-thread shard spans
         # stitch under the span that submitted them, not under whatever
         # happens to be open on the worker's own stack.
-        parent = tracer.current_span()
-        if context is not None:
-            context.checkpoint(what)
-            context.metrics.record_max("parallel.workers", self.max_workers)
+        parent = context.tracer.current_span()
+        context.checkpoint(what)
+        context.metrics.record_max("parallel.workers", self.max_workers)
         if not work:
             return []
         if self.serial or len(work) == 1:
-            return [
-                self._run_shard(fn, item, context, what, tracer, parent)
-                for item in work
-            ]
+            return [self._run_shard(fn, item, context, what, parent) for item in work]
         abort = threading.Event()
 
         def _guarded(item: T) -> R:
             if abort.is_set():
                 return _SKIPPED  # type: ignore[return-value]
             try:
-                return self._run_shard(fn, item, context, what, tracer, parent)
+                return self._run_shard(fn, item, context, what, parent)
             except BaseException:
                 abort.set()
                 raise
@@ -229,17 +224,14 @@ class WorkerPool:
     def _run_shard(
         fn: Callable[[T], R],
         item: T,
-        context: ExecutionContext | None,
+        context: ExecutionContext,
         what: str,
-        tracer=NULL_TRACER,
         parent=None,
     ) -> R:
-        if context is None:
-            return fn(item)
         context.checkpoint(what)
         start = time.perf_counter()
         try:
-            with tracer.span("parallel.shard", parent=parent) as span:
+            with context.tracer.span("parallel.shard", parent=parent) as span:
                 span.set_attribute("what", what)
                 return fn(item)
         finally:

@@ -24,13 +24,14 @@ plus a bounded **structured event log**, and exports both:
 The **untraced default** is :data:`NULL_TRACER`, a singleton
 :class:`NullTracer` whose :meth:`~NullTracer.span` returns one shared
 no-op span — no per-call object allocation, so instrumented hot paths
-cost two method calls when tracing is off.  Instrumented code follows one
-pattern::
+cost two method calls when tracing is off.  Request-level calls open
+their span through :meth:`repro.runtime.ExecutionContext.operation`,
+which also records the call's latency histogram, counters and slow-query
+record; compute loops open plain spans on ``context.tracer``::
 
-    tracer = context.tracer if context is not None else NULL_TRACER
-    with tracer.span("index.query") as span:
+    with context.operation("index.query") as operation:
         ...
-        span.set_attribute("cells", block.size)
+        operation.set_attribute("cells", block.size)
 
 Both buffers are bounded (``max_spans`` / ``max_events``, oldest records
 dropped first, drops counted), so a tracer left attached to a long-lived

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Graph, gsim, gsim_partial
-from repro.runtime import DeadlineExceeded, WallClockDeadline
+from repro.runtime import DeadlineExceeded, ExecutionContext, WallClockDeadline
 
 
 class TestGSim:
@@ -59,9 +59,9 @@ class TestGSim:
 
     def test_deadline_enforced(self, random_pair):
         graph_a, graph_b = random_pair
-        expired = WallClockDeadline(1e-9)
+        expired = ExecutionContext(deadline=WallClockDeadline(1e-9))
         with pytest.raises(DeadlineExceeded):
-            gsim(graph_a, graph_b, iterations=5, deadline=expired)
+            gsim(graph_a, graph_b, iterations=5, context=expired)
 
 
 class TestGSimPartial:

@@ -196,6 +196,16 @@ class TestFactorStepEquivalence:
         assert counters["gsim_plus.shard_cache_hits"] > 0
         assert counters["gsim_plus.transpose_cache_hits"] > 0
 
+    def test_shard_cache_hits_count_reuse_only(self):
+        """The first step cuts and stores the slices (no hit); every
+        later step reuses the four cached operand entries."""
+        graph_a = rmat_graph(6, 256, seed=3, name="A")
+        graph_b = rmat_graph(5, 128, seed=4, name="B")
+        for steps, hits in ((1, 0), (2, 4)):
+            context = ExecutionContext()
+            GSimPlus(graph_a, graph_b, max_workers=2).run(steps, context=context)
+            assert context.metrics.counter("gsim_plus.shard_cache_hits") == hits
+
     def test_serial_steps_run_inline(self, graph_pair):
         """A serial solver runs every step inline on the whole operands:
         no shard cache, no pool metrics or spans, and one checkpoint per

@@ -5,7 +5,7 @@ import pytest
 
 from repro import Graph
 from repro.baselines import rolesim, rolesim_query
-from repro.runtime import DeadlineExceeded, WallClockDeadline
+from repro.runtime import DeadlineExceeded, ExecutionContext, WallClockDeadline
 
 
 class TestRoleSimProperties:
@@ -83,7 +83,11 @@ class TestRoleSimProperties:
     def test_deadline_enforced(self, random_pair):
         graph, _ = random_pair
         with pytest.raises(DeadlineExceeded):
-            rolesim(graph, iterations=3, deadline=WallClockDeadline(1e-9))
+            rolesim(
+                graph,
+                iterations=3,
+                context=ExecutionContext(deadline=WallClockDeadline(1e-9)),
+            )
 
 
 class TestRoleSimQuery:

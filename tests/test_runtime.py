@@ -265,7 +265,7 @@ class TestGSimPlusUnderContext:
     def test_memory_budget_converts_dense_fallback_to_structured_oom(self):
         # Factored working sets for n_a=12, n_b=8: (12+8)*width*8 bytes,
         # peaking at 1280 B at width 8.  The dense fallback then needs
-        # 2*12*8*8 = 1536 B, so a 1400 B ceiling admits every factored
+        # 5*12*8*8 = 3840 B, so a 1400 B ceiling admits every factored
         # step and rejects exactly the dense hand-over.
         a, b = _ring(12, seed=1), _ring(8, seed=2)
         context = ExecutionContext.start(memory_limit_bytes=1400)
@@ -280,6 +280,19 @@ class TestGSimPlusUnderContext:
         roomy = ExecutionContext.start(memory_limit_bytes=1400)
         result = gsim_plus(a, b, iterations=3, rank_cap="none", context=roomy)
         assert result.final_width == 8
+
+    def test_dense_fallback_charges_what_one_step_holds(self):
+        # The dense step holds the iterate plus Z^T, P, Q and the update:
+        # 5*12*8*8 = 3840 B.  A 2000 B ceiling admits every factored step
+        # (peak 1280 B) and the iterate plus one update (1536 B), but not
+        # the step's real working set, so the hand-over must fail before
+        # the step allocates.
+        a, b = _ring(12, seed=1), _ring(8, seed=2)
+        context = ExecutionContext.start(memory_limit_bytes=2000)
+        with pytest.raises(MemoryBudgetExceeded, match="dense rank-cap"):
+            gsim_plus(a, b, iterations=6, rank_cap="dense", context=context)
+        assert context.metrics.counter("gsim_plus.iterations") == 3
+        assert context.metrics.counter("gsim_plus.dense_steps") == 0
 
     def test_cancellation_stops_iteration(self):
         a, b = _ring(12, seed=1), _ring(8, seed=2)

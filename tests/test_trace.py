@@ -239,12 +239,6 @@ class TestHistograms:
         assert merged["buckets"] == expected.histogram("h")["buckets"]
         assert merged["sum"] == pytest.approx(expected.histogram("h")["sum"])
 
-    def test_time_histogram_context_manager(self):
-        metrics = Metrics()
-        with metrics.time_histogram("block"):
-            pass
-        assert metrics.histogram("block")["count"] == 1
-
     def test_absent_histogram_reads_as_zero(self):
         hist = Metrics().histogram("never")
         assert hist["count"] == 0
