@@ -441,18 +441,32 @@ class SLObjective:
         )
 
     def observe(self, snapshot: dict[str, Any]) -> float:
-        """The objective's observed value in ``snapshot``."""
+        """The objective's observed value in ``snapshot`` (0 when the
+        run never recorded it, see :meth:`recorded`)."""
+        value = self._read(snapshot)
+        return 0.0 if value is None else value
+
+    def recorded(self, snapshot: dict[str, Any]) -> bool:
+        """Whether ``snapshot`` holds the metric :meth:`observe` reads:
+        the histogram, the ``<t>.requests`` counter of ``error_rate`` or
+        the denominator counter of ``rate``.  An objective on a metric
+        the run never recorded observes 0 and passes, which usually
+        means a misspelt or renamed metric rather than a healthy run."""
+        return self._read(snapshot) is not None
+
+    def _read(self, snapshot: dict[str, Any]) -> float | None:
         if self.fn in ("p50", "p90", "p99", "max", "count", "mean"):
             hist = snapshot.get("histograms", {}).get(self.target)
-            if hist is None or not hist.get("count"):
+            if hist is None:
+                return None
+            if not hist.get("count"):
                 return 0.0
             if self.fn == "mean":
                 return float(hist["sum"]) / float(hist["count"])
             return float(hist[self.fn])
-        counters = snapshot.get("counters", {})
         if self.fn == "error_rate":
-            numerator = float(counters.get(f"{self.target}.errors", 0))
-            denominator = float(counters.get(f"{self.target}.requests", 0))
+            num_name = f"{self.target}.errors"
+            den_name = f"{self.target}.requests"
         else:  # rate(a/b)
             num_name, slash, den_name = self.target.partition("/")
             if not slash:
@@ -460,9 +474,12 @@ class SLObjective:
                     f"rate() target must be 'numerator/denominator', "
                     f"got {self.target!r}"
                 )
-            numerator = float(counters.get(num_name.strip(), 0))
-            denominator = float(counters.get(den_name.strip(), 0))
-        return numerator / denominator if denominator else 0.0
+        counters = snapshot.get("counters", {})
+        denominator = counters.get(den_name.strip())
+        if denominator is None:
+            return None
+        numerator = float(counters.get(num_name.strip(), 0))
+        return numerator / float(denominator) if denominator else 0.0
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from repro.dynamic.lifecycle import (
 )
 from repro.graphs import erdos_renyi_graph, random_node_sample
 from repro.retrieval.index import GSimIndex
-from repro.runtime import ExecutionContext, Metrics, Tracer
+from repro.runtime import NULL_CONTEXT, ExecutionContext, Metrics, Tracer
 from repro.runtime.errors import IndexUnavailableError, InjectedFault
 from repro.runtime.resilience import (
     CheckpointManager,
@@ -380,6 +380,14 @@ class TestManagerBasics:
             assert health["live_generation"] == 1
             assert not health["degraded"]
             assert health["breaker"] == "closed"
+
+    def test_build_seconds_is_timed_under_the_null_context(self):
+        graph_a, graph_b = _dynamic_pair()
+        with IndexGenerationManager(
+            graph_a, graph_b, iterations=ITERATIONS, context=NULL_CONTEXT
+        ) as manager:
+            generation = manager.warm()
+        assert generation.build_seconds > 0
 
     def test_block_lease_rebuilds_after_mutation(self):
         graph_a, graph_b = _dynamic_pair()
