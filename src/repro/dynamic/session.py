@@ -38,7 +38,7 @@ from repro.dynamic.lifecycle import (
     StalenessBudget,
     check_policy,
 )
-from repro.runtime import ExecutionContext, RetryPolicy, WorkerPool
+from repro.runtime import NULL_CONTEXT, ExecutionContext, RetryPolicy, WorkerPool
 from repro.utils.validation import check_positive_integer
 
 __all__ = ["AnnotatedBlock", "SessionStats", "SimilaritySession"]
@@ -108,7 +108,11 @@ class SimilaritySession:
         self._graph_b = graph_b
         self.iterations = check_positive_integer(iterations, "iterations")
         self.policy = check_policy(policy)
-        self._context = context if context is not None else ExecutionContext()
+        # ``stats`` reads its counters back from the metrics sink, which
+        # the null context's keeps nothing of: build a real context.
+        if context is None or context is NULL_CONTEXT:
+            context = ExecutionContext()
+        self._context = context
         self._manager = IndexGenerationManager(
             graph_a,
             graph_b,

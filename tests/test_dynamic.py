@@ -5,6 +5,7 @@ import pytest
 
 from repro import gsim_plus
 from repro.dynamic import DynamicGraph, SimilaritySession
+from repro.runtime import NULL_CONTEXT, Metrics
 
 
 class TestDynamicGraph:
@@ -99,6 +100,14 @@ class TestSimilaritySession:
         session.query([1], [1])
         assert session.stats.recomputes == 1
         assert session.stats.cache_hits == 1
+
+    def test_stats_kept_under_the_null_context(self, graphs):
+        session = SimilaritySession(*graphs, iterations=4, context=NULL_CONTEXT)
+        session.query([0], [0])
+        session.query([1], [1])
+        assert session.stats.recomputes == 1
+        assert session.stats.cache_hits == 1
+        assert NULL_CONTEXT.snapshot() == Metrics().snapshot()
 
     def test_update_invalidates(self, graphs):
         a, b = graphs
