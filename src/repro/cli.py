@@ -9,13 +9,12 @@ Usage (installed as ``gsimplus`` or via ``python -m repro.cli``)::
     gsimplus fig2 --scale tiny --metrics out.json   # dump runtime metrics
     gsimplus spec exp.json --trace trace.json --trace-summary
 
-``--metrics PATH`` (every subcommand) writes the run's
-:class:`repro.runtime.Metrics` counter/timer/histogram tree as JSON —
-for experiment commands the per-cell metric snapshots are merged into one
-tree; for ``topk``/``sim`` the run executes under a fresh
-:class:`repro.runtime.ExecutionContext` whose snapshot is dumped; for
-``accuracy``/``bound``/``datasets`` the command's wall time is recorded
-under ``cli.*`` timers.
+Every subcommand runs under one :class:`repro.runtime.ExecutionContext`,
+and ``--metrics PATH`` writes its counter/gauge/histogram snapshot as
+JSON: experiment commands merge every cell's metrics into it (with the
+``sweep.cells`` / ``sweep.quarantined`` counters), ``topk``/``sim``/
+``live`` run on it, and ``accuracy``/``bound``/``datasets`` record their
+wall time as ``cli.<command>`` operations.
 
 ``--trace PATH`` (figures, ``all``, ``spec``, ``topk``, ``sim``) records
 a hierarchical span trace of the run and writes Chrome ``trace_event``
@@ -152,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--metrics",
             default=None,
             metavar="PATH",
-            help="write the run's counter/timer/histogram tree as JSON to "
+            help="write the run's counter/gauge/histogram tree as JSON to "
             "this path",
         )
 
@@ -496,37 +495,35 @@ def _resilience(args: argparse.Namespace, journal_name: str):
     return journal, retry_policy
 
 
-def _make_tracer(args: argparse.Namespace):
-    """A live :class:`repro.runtime.Tracer` when --trace/--trace-summary
-    was given, ``None`` otherwise (the traced code then sees the no-op
-    ``NULL_TRACER`` and pays nothing)."""
-    if getattr(args, "trace", None) or getattr(args, "trace_summary", False):
-        from repro.runtime import Tracer
+class _Observed:
+    """One CLI command's :class:`repro.runtime.ExecutionContext` and the
+    outputs it feeds.
 
-        return Tracer()
-    return None
-
-
-class _CliTelemetry:
-    """The --telemetry-dir/--slo lifecycle for one CLI run.
-
-    Owns a live :class:`repro.runtime.Metrics` sink (``self.metrics``) —
-    for experiment commands the per-cell snapshots are merged into it as
-    cells finish, for ``topk``/``sim`` it is the run context's own sink —
-    plus the optional :class:`repro.runtime.TelemetrySession` exporting
-    it.  :meth:`close` is failure-safe and idempotent; it returns the
-    exit-code contribution (3 on a violated SLO).
+    The context carries a :class:`repro.runtime.Tracer` with --trace or
+    --trace-summary, and, with --telemetry-dir, the metrics sink and
+    slow-query log of a :class:`repro.runtime.TelemetrySession` (a plain
+    :class:`repro.runtime.Metrics` otherwise).  Wrap the command in ``with
+    _Observed(args) as observed:``, which starts the telemetry flusher,
+    and hand ``observed.context`` to the library.  The exit writes
+    --metrics from the context's snapshot, the trace outputs, the final
+    telemetry flush and the --slo verdicts.  On success :attr:`code` is
+    then the exit-code contribution (1 when an output could not be
+    written, 3 on a violated SLO).  On failure the same outputs are a
+    best-effort partial flush for the post-mortem, and the exception
+    propagates.
     """
 
-    def __init__(self, args: argparse.Namespace, metrics=None, source=None):
-        from repro.runtime import Metrics, SLObjective
+    def __init__(self, args: argparse.Namespace) -> None:
+        from repro.runtime import (
+            ExecutionContext,
+            Metrics,
+            SLObjective,
+            TelemetrySession,
+            Tracer,
+        )
 
         self.args = args
-        self.metrics = metrics if metrics is not None else Metrics()
-        self.source = source if source is not None else self.metrics.snapshot
-        self.session = None
-        self.slow_queries = None
-        self._closed = False
+        self.code = 0
         try:
             self.objectives = [
                 SLObjective.parse(raw)
@@ -535,96 +532,73 @@ class _CliTelemetry:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             raise SystemExit(2) from None
+        metrics = Metrics()
+        self.telemetry = None
         if getattr(args, "telemetry_dir", None):
-            from repro.runtime import TelemetrySession
-
-            self.session = TelemetrySession(
+            self.telemetry = TelemetrySession(
                 args.telemetry_dir,
-                self.metrics,
-                source=self.source,
+                metrics,
                 interval_seconds=args.flush_interval,
                 slow_query_threshold=args.slow_query_ms / 1000.0,
                 objectives=self.objectives,
-            ).start()
-            self.slow_queries = self.session.slow_queries
+            )
+        traced = getattr(args, "trace", None) or getattr(args, "trace_summary", False)
+        self.context = ExecutionContext(
+            metrics=metrics,
+            tracer=Tracer() if traced else None,
+            slow_queries=(
+                self.telemetry.slow_queries if self.telemetry is not None else None
+            ),
+        )
 
-    def close(self) -> int:
-        """Final flush + SLO verdicts; safe to call on failure paths."""
-        if self._closed:
-            return 0
-        self._closed = True
+    def __enter__(self) -> "_Observed":
+        if self.telemetry is not None:
+            self.telemetry.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.code = max(self._close_telemetry(), self._write_outputs())
+            return
+        for flush in (self._write_outputs, self._close_telemetry):
+            try:
+                flush()
+            except Exception:
+                pass
+
+    def _close_telemetry(self) -> int:
+        """Final telemetry flush and the --slo verdicts (3 when violated)."""
+        from repro.runtime import SLOTracker, render_slo_report
+
         reports = None
-        if self.session is not None:
-            reports = self.session.close()
-            print(f"telemetry written to {self.session.directory}")
-        elif self.objectives:
-            from repro.runtime import SLOTracker
-
-            reports = SLOTracker(self.objectives).evaluate(self.source())
-        if self.objectives:
-            snapshot = self.source()
-            for objective in self.objectives:
-                if not objective.recorded(snapshot):
-                    print(
-                        f"warning: SLO {objective.declaration!r} reads a "
-                        "metric this run never recorded",
-                        file=sys.stderr,
-                    )
-        if reports:
-            from repro.runtime import render_slo_report
-
-            print(render_slo_report(reports))
-            if any(not report.ok for report in reports):
-                print("error: SLO violated", file=sys.stderr)
-                return 3
+        if self.telemetry is not None:
+            reports = self.telemetry.close()
+            print(f"telemetry written to {self.telemetry.directory}")
+        if not self.objectives:
+            return 0
+        snapshot = self.context.snapshot()
+        if reports is None:
+            reports = SLOTracker(self.objectives).evaluate(snapshot)
+        for objective in self.objectives:
+            if not objective.recorded(snapshot):
+                print(
+                    f"warning: SLO {objective.declaration!r} reads a "
+                    "metric this run never recorded",
+                    file=sys.stderr,
+                )
+        print(render_slo_report(reports))
+        if any(not report.ok for report in reports):
+            print("error: SLO violated", file=sys.stderr)
+            return 3
         return 0
 
-
-def _emit_partial(
-    args: argparse.Namespace,
-    tracer,
-    telemetry: "_CliTelemetry | None",
-    exc: BaseException,
-    metrics_tree: dict | None = None,
-) -> None:
-    """Best-effort --metrics/--trace/telemetry flush on a failure path.
-
-    An interrupted or crashed run still leaves partial snapshots on
-    disk for the post-mortem: the metrics tree travels on structured
-    budget failures (``exc.metrics``), the trace holds every span
-    completed so far, and the telemetry session takes a final flush.
-    The exception is re-raised by the caller; nothing here may raise.
-    """
-    if metrics_tree is None:
-        metrics_tree = getattr(exc, "metrics", None)
-    if metrics_tree is None and telemetry is not None:
-        try:
-            metrics_tree = telemetry.source()
-        except Exception:
-            metrics_tree = None
-    try:
-        _finish(args, tracer, metrics_tree)
-    except Exception:
-        pass
-    if telemetry is not None:
-        try:
-            telemetry.close()
-        except Exception:
-            pass
-
-
-def _finish(
-    args: argparse.Namespace, tracer=None, metrics_tree: dict | None = None
-) -> int:
-    """Emit the --metrics / --trace / --trace-summary outputs.
-
-    All three compose in one run; the exit code is non-zero when any
-    requested artifact could not be written.
-    """
-    code = 0
-    if getattr(args, "metrics", None) and metrics_tree is not None:
-        code = max(code, _write_metrics(args.metrics, metrics_tree))
-    if tracer is not None:
+    def _write_outputs(self) -> int:
+        """--metrics, --trace and --trace-summary, which compose in one
+        run; 1 when a requested file could not be written."""
+        args, tracer = self.args, self.context.tracer
+        code = 0
+        if getattr(args, "metrics", None):
+            code = _write_metrics(args.metrics, self.context.snapshot())
         if getattr(args, "trace", None):
             try:
                 tracer.write_chrome_trace(args.trace)
@@ -633,7 +607,7 @@ def _finish(
                     f"error: cannot write trace to {args.trace}: {exc}",
                     file=sys.stderr,
                 )
-                code = max(code, 1)
+                code = 1
             else:
                 print(
                     f"trace written to {args.trace} "
@@ -643,19 +617,13 @@ def _finish(
             from repro.runtime import render_trace_summary
 
             print(render_trace_summary(tracer))
-    return code
+        return code
 
 
 def _run_figure(
-    name: str,
-    args: argparse.Namespace,
-    journal=None,
-    retry_policy=None,
-    tracer=None,
-    telemetry: "_CliTelemetry | None" = None,
-) -> tuple[str, list]:
-    if journal is None and retry_policy is None:
-        journal, retry_policy = _resilience(args, name)
+    name: str, args: argparse.Namespace, context, journal, retry_policy
+) -> str:
+    """Run one figure's sweep under ``context``; returns its table."""
     driver, column, metric, description = _FIGURES[name]
     guards = dict(
         memory_budget=MemoryBudget(int(args.memory_budget_mib * 1024 * 1024)),
@@ -663,11 +631,9 @@ def _run_figure(
         journal=journal,
         retry_policy=retry_policy,
         max_workers=getattr(args, "workers", 1),
-        tracer=tracer,
         precision=getattr(args, "precision", "float64"),
         recompress_tol=getattr(args, "recompress_tol", None),
-        metrics_sink=telemetry.metrics if telemetry is not None else None,
-        slow_queries=telemetry.slow_queries if telemetry is not None else None,
+        context=context,
     )
     if args.iterations is None:
         config = ExperimentConfig.for_scale(args.scale, seed=args.seed, **guards)
@@ -692,18 +658,7 @@ def _run_figure(
             f"\n[{replayed}/{len(records)} cells replayed from "
             f"{journal.path}]"
         )
-    return rendered, records
-
-
-def _merged_record_metrics(records: list) -> dict:
-    """Fold every cell's metric snapshot into one counter/timer tree."""
-    from repro.runtime import Metrics
-
-    merged = Metrics()
-    for record in records:
-        if getattr(record, "metrics", None):
-            merged.merge_snapshot(record.metrics)
-    return merged.snapshot()
+    return rendered
 
 
 def _write_metrics(path: str, tree: dict) -> int:
@@ -718,14 +673,14 @@ def _write_metrics(path: str, tree: dict) -> int:
     return 0
 
 
-def _run_live(args: argparse.Namespace) -> int:
+def _run_live(args: argparse.Namespace, context) -> None:
     """The ``live`` subcommand: a seeded writer/reader replay against a
     lifecycle-managed session, reporting how the chosen policy behaved."""
     import numpy as np
 
     from repro.dynamic import DynamicGraph, SimilaritySession, StalenessBudget
     from repro.graphs import load_dataset_pair
-    from repro.runtime import ExecutionContext, IndexUnavailableError
+    from repro.runtime import IndexUnavailableError
 
     base_a, base_b = load_dataset_pair(
         args.dataset, scale=args.scale, seed=args.seed
@@ -746,13 +701,6 @@ def _run_live(args: argparse.Namespace) -> int:
             max_age_seconds=args.max_age_seconds,
             max_edge_delta=args.max_edge_delta,
         )
-    tracer = _make_tracer(args)
-    telemetry = _telemetry_for(args)
-    context = ExecutionContext(
-        tracer=tracer,
-        metrics=telemetry.metrics if telemetry is not None else None,
-        slow_queries=telemetry.slow_queries if telemetry is not None else None,
-    )
     checkpoint_dir = None
     if args.checkpoint_dir:
         from pathlib import Path
@@ -761,159 +709,114 @@ def _run_live(args: argparse.Namespace) -> int:
 
     rng = np.random.default_rng(args.seed)
     served = shed = 0
-    try:
-        with SimilaritySession(
-            graph_a,
-            graph_b,
-            iterations=args.iterations,
-            context=context,
-            policy=args.policy,
-            staleness_budget=budget,
-            eager_rebuild=args.eager,
-            checkpoint_dir=checkpoint_dir,
-            max_workers=args.workers,
-            precision=args.precision,
-            recompress_tol=args.recompress_tol,
-        ) as session:
-            print(f"G_A = {graph_a}")
-            print(f"G_B = {graph_b}")
-            session.refresh()  # generation 1, built before the stream
-            total = args.mutations + args.queries
-            plan = rng.permutation(
-                [True] * args.mutations + [False] * args.queries
-            )
-            for is_mutation in plan:
-                if is_mutation:
-                    while True:
-                        src = int(rng.integers(graph_a.num_nodes))
-                        dst = int(rng.integers(graph_a.num_nodes))
-                        if src != dst and not graph_a.has_edge(src, dst):
-                            break
-                    graph_a.add_edge(src, dst)
+    with SimilaritySession(
+        graph_a,
+        graph_b,
+        iterations=args.iterations,
+        context=context,
+        policy=args.policy,
+        staleness_budget=budget,
+        eager_rebuild=args.eager,
+        checkpoint_dir=checkpoint_dir,
+        max_workers=args.workers,
+        precision=args.precision,
+        recompress_tol=args.recompress_tol,
+    ) as session:
+        print(f"G_A = {graph_a}")
+        print(f"G_B = {graph_b}")
+        session.refresh()  # generation 1, built before the stream
+        total = args.mutations + args.queries
+        plan = rng.permutation(
+            [True] * args.mutations + [False] * args.queries
+        )
+        for is_mutation in plan:
+            if is_mutation:
+                while True:
+                    src = int(rng.integers(graph_a.num_nodes))
+                    dst = int(rng.integers(graph_a.num_nodes))
+                    if src != dst and not graph_a.has_edge(src, dst):
+                        break
+                graph_a.add_edge(src, dst)
+            else:
+                node = int(rng.integers(graph_a.num_nodes))
+                try:
+                    info = session.query_info([node], [0])
+                except IndexUnavailableError:
+                    shed += 1
                 else:
-                    node = int(rng.integers(graph_a.num_nodes))
-                    try:
-                        info = session.query_info([node], [0])
-                    except IndexUnavailableError:
-                        shed += 1
-                    else:
-                        served += 1
-                        del info
-            # Settle: one final synchronous rebuild so the closing state
-            # is fresh and the chain is fully installed.
-            session.refresh()
-            stats = session.stats
-            health = session.health()
-            print(
-                f"\nreplayed {total} events "
-                f"({args.mutations} mutations, {args.queries} queries) "
-                f"under policy={args.policy!r}"
-            )
-            print(
-                f"  served {served} queries ({stats.stale_served} stale), "
-                f"shed {shed}"
-            )
-            print(
-                f"  {stats.recomputes} rebuilds installed, "
-                f"{health['generations_built']} generations built, "
-                f"live generation {health['live_generation']} "
-                f"(fingerprint {health['live_fingerprint'][:12]})"
-            )
-            print(
-                f"  breaker {health['breaker']}, "
-                f"degraded={health['degraded']}, "
-                f"rejected mutations: {graph_a.rejected_mutations}"
-            )
-    except BaseException as exc:
-        _emit_partial(args, tracer, telemetry, exc, context.snapshot())
-        raise
-    slo_code = telemetry.close() if telemetry is not None else 0
-    return max(slo_code, _finish(
-        args, tracer, context.snapshot() if args.metrics else None
-    ))
-
-
-def _telemetry_for(args: argparse.Namespace, metrics=None, source=None):
-    """A started :class:`_CliTelemetry` when --telemetry-dir or --slo was
-    given, ``None`` otherwise (runs then pay nothing)."""
-    if getattr(args, "telemetry_dir", None) or getattr(args, "slo", None):
-        return _CliTelemetry(args, metrics=metrics, source=source)
-    return None
+                    served += 1
+                    del info
+        # Settle: one final synchronous rebuild so the closing state
+        # is fresh and its generation installed.
+        session.refresh()
+        stats = session.stats
+        health = session.health()
+        print(
+            f"\nreplayed {total} events "
+            f"({args.mutations} mutations, {args.queries} queries) "
+            f"under policy={args.policy!r}"
+        )
+        print(
+            f"  served {served} queries ({stats.stale_served} stale), "
+            f"shed {shed}"
+        )
+        print(
+            f"  {stats.recomputes} rebuilds installed, "
+            f"{health['generations_built']} generations built, "
+            f"live generation {health['live_generation']} "
+            f"(fingerprint {health['live_fingerprint'][:12]})"
+        )
+        print(
+            f"  breaker {health['breaker']}, "
+            f"degraded={health['degraded']}, "
+            f"rejected mutations: {graph_a.rejected_mutations}"
+        )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
     if args.command in _FIGURES:
-        tracer = _make_tracer(args)
-        telemetry = _telemetry_for(args)
-        try:
-            rendered, records = _run_figure(
-                args.command, args, tracer=tracer, telemetry=telemetry
-            )
-        except BaseException as exc:
-            _emit_partial(args, tracer, telemetry, exc)
-            raise
-        print(rendered)
-        slo_code = telemetry.close() if telemetry is not None else 0
-        return max(slo_code, _finish(
-            args, tracer,
-            _merged_record_metrics(records) if args.metrics else None,
-        ))
+        journal, retry_policy = _resilience(args, args.command)
+        with _Observed(args) as observed:
+            print(_run_figure(
+                args.command, args, observed.context, journal, retry_policy
+            ))
+        return observed.code
     if args.command == "accuracy":
-        from repro.runtime import Metrics
-
-        metrics = Metrics()
-        with metrics.time("cli.accuracy"):
-            table = accuracy_table(
-                dataset=args.dataset, scale=args.scale, seed=args.seed
+        with _Observed(args) as observed:
+            with observed.context.operation("cli.accuracy"):
+                table = accuracy_table(
+                    dataset=args.dataset, scale=args.scale, seed=args.seed
+                )
+            print(render_accuracy_table(table))
+            print(
+                f"max |GSim+ err - GSim err| = {table.max_equivalence_gap():.3e} "
+                "(Theorem 3.1 predicts 0)"
             )
-        print(render_accuracy_table(table))
-        print(
-            f"max |GSim+ err - GSim err| = {table.max_equivalence_gap():.3e} "
-            "(Theorem 3.1 predicts 0)"
-        )
-        return _finish(args, None, metrics.snapshot() if args.metrics else None)
+        return observed.code
     if args.command == "bound":
         from repro.experiments.tables import error_bound_table, render_error_bound_table
-        from repro.runtime import Metrics
 
-        metrics = Metrics()
-        with metrics.time("cli.bound"):
-            table = error_bound_table(dataset=args.dataset, seed=args.seed)
-        print(render_error_bound_table(table))
-        return _finish(args, None, metrics.snapshot() if args.metrics else None)
+        with _Observed(args) as observed:
+            with observed.context.operation("cli.bound"):
+                table = error_bound_table(dataset=args.dataset, seed=args.seed)
+            print(render_error_bound_table(table))
+        return observed.code
     if args.command == "all":
         journal, retry_policy = _resilience(args, "all")
-        tracer = _make_tracer(args)
-        telemetry = _telemetry_for(args)
-        all_records: list = []
-        try:
+        with _Observed(args) as observed:
             for name in _FIGURES:
-                rendered, records = _run_figure(
-                    name, args, journal=journal, retry_policy=retry_policy,
-                    tracer=tracer, telemetry=telemetry,
-                )
-                print(rendered)
+                print(_run_figure(
+                    name, args, observed.context, journal, retry_policy
+                ))
                 print()
-                all_records.extend(records)
             table = accuracy_table(scale=args.scale, seed=args.seed)
-        except BaseException as exc:
-            _emit_partial(
-                args, tracer, telemetry, exc,
-                _merged_record_metrics(all_records) if args.metrics else None,
-            )
-            raise
-        print(render_accuracy_table(table))
-        slo_code = telemetry.close() if telemetry is not None else 0
-        return max(slo_code, _finish(
-            args, tracer,
-            _merged_record_metrics(all_records) if args.metrics else None,
-        ))
+            print(render_accuracy_table(table))
+        return observed.code
     if args.command == "topk":
         from repro.core import top_k_pairs
         from repro.graphs import load_dataset_pair
-        from repro.runtime import ExecutionContext
 
         graph_a, graph_b = load_dataset_pair(
             args.dataset, scale=args.scale, seed=args.seed
@@ -921,42 +824,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         iterations = args.iterations
         if iterations is None:
             iterations = ExperimentConfig.for_scale(args.scale).iterations
-        tracer = _make_tracer(args)
-        telemetry = _telemetry_for(args)
-        context = ExecutionContext(
-            tracer=tracer,
-            metrics=telemetry.metrics if telemetry is not None else None,
-            slow_queries=(
-                telemetry.slow_queries if telemetry is not None else None
-            ),
-        )
-        try:
+        with _Observed(args) as observed:
             pairs = top_k_pairs(
                 graph_a, graph_b, args.top, iterations=iterations,
-                context=context, max_workers=args.workers,
+                context=observed.context, max_workers=args.workers,
                 precision=args.precision, recompress_tol=args.recompress_tol,
             )
-        except BaseException as exc:
-            _emit_partial(args, tracer, telemetry, exc, context.snapshot())
-            raise
-        print(f"top-{args.top} pairs on {graph_a.name} (K={iterations}):")
-        for pair in pairs:
-            print(
-                f"  G_A {pair.node_a:>7}  ~  G_B {pair.node_b:>6}"
-                f"   score {pair.score:.5f}"
-            )
-        slo_code = telemetry.close() if telemetry is not None else 0
-        return max(slo_code, _finish(
-            args, tracer, context.snapshot() if args.metrics else None
-        ))
+            print(f"top-{args.top} pairs on {graph_a.name} (K={iterations}):")
+            for pair in pairs:
+                print(
+                    f"  G_A {pair.node_a:>7}  ~  G_B {pair.node_b:>6}"
+                    f"   score {pair.score:.5f}"
+                )
+        return observed.code
     if args.command == "sim":
         import numpy as np
 
         from repro.core import top_k_pairs
         from repro.core.gsim_plus import gsim_plus
         from repro.graphs import read_edge_list
-        from repro.runtime import ExecutionContext
-
         from repro.runtime.resilience import CheckpointManager, RetryPolicy
 
         checkpoints = None
@@ -999,38 +885,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         graph_b = _load_graph(args.graph_b)
         print(f"G_A = {graph_a}")
         print(f"G_B = {graph_b}")
-        tracer = _make_tracer(args)
-        telemetry = _telemetry_for(args)
-        context = ExecutionContext(
-            tracer=tracer,
-            metrics=telemetry.metrics if telemetry is not None else None,
-            slow_queries=(
-                telemetry.slow_queries if telemetry is not None else None
-            ),
-        )
-        if args.top is not None:
-            def _top_pairs():
-                return top_k_pairs(
-                    graph_a, graph_b, args.top, iterations=args.iterations,
-                    context=context, max_workers=args.workers,
-                    precision=args.precision,
-                    recompress_tol=args.recompress_tol,
-                )
+        observed = _Observed(args)
+        context = observed.context
 
-            try:
-                if retry_policy is not None:
-                    pairs = retry_policy.call(_top_pairs, what="sim topk")
-                else:
-                    pairs = _top_pairs()
-            except BaseException as exc:
-                _emit_partial(args, tracer, telemetry, exc, context.snapshot())
-                raise
-            for pair in pairs:
-                print(f"  {pair.node_a}\t{pair.node_b}\t{pair.score:.6f}")
-            slo_code = telemetry.close() if telemetry is not None else 0
-            return max(slo_code, _finish(
-                args, tracer, context.snapshot() if args.metrics else None
-            ))
+        def _top_pairs():
+            return top_k_pairs(
+                graph_a, graph_b, args.top, iterations=args.iterations,
+                context=context, max_workers=args.workers,
+                precision=args.precision,
+                recompress_tol=args.recompress_tol,
+            )
 
         def _parse_queries(raw: str | None) -> list[int] | None:
             if raw is None:
@@ -1053,43 +917,50 @@ def main(argv: Sequence[str] | None = None) -> int:
                 recompress_tol=args.recompress_tol,
             )
 
-        resume_from = {"manager": checkpoints if args.resume else None}
-        try:
-            if retry_policy is not None:
-                def _on_retry(attempt: int, exc: BaseException) -> None:
-                    # A failed attempt may still have snapshotted progress;
-                    # pick up from the last valid checkpoint rather than
-                    # iteration zero.
-                    resume_from["manager"] = checkpoints
-
-                result = retry_policy.call(
-                    lambda: _compute(resume_from["manager"]),
-                    what="sim",
-                    on_retry=_on_retry,
-                )
+        with observed:
+            if args.top is not None:
+                if retry_policy is not None:
+                    pairs = retry_policy.call(_top_pairs, what="sim topk")
+                else:
+                    pairs = _top_pairs()
+                for pair in pairs:
+                    print(f"  {pair.node_a}\t{pair.node_b}\t{pair.score:.6f}")
             else:
-                result = _compute(resume_from["manager"])
-        except BaseException as exc:
-            _emit_partial(args, tracer, telemetry, exc, context.snapshot())
-            raise
-        if args.output:
-            np.savetxt(args.output, result.similarity, delimiter=",", fmt="%.8g")
-            print(f"{result.similarity.shape} block written to {args.output}")
-        else:
-            with np.printoptions(precision=4, suppress=True, threshold=400):
-                print(result.similarity)
-        slo_code = telemetry.close() if telemetry is not None else 0
-        return max(slo_code, _finish(
-            args, tracer, context.snapshot() if args.metrics else None
-        ))
+                resume_from = {"manager": checkpoints if args.resume else None}
+                if retry_policy is not None:
+                    def _on_retry(attempt: int, exc: BaseException) -> None:
+                        # A failed attempt may still have snapshotted
+                        # progress; pick up from the last valid checkpoint
+                        # rather than iteration zero.
+                        resume_from["manager"] = checkpoints
+
+                    result = retry_policy.call(
+                        lambda: _compute(resume_from["manager"]),
+                        what="sim",
+                        on_retry=_on_retry,
+                    )
+                else:
+                    result = _compute(resume_from["manager"])
+                if args.output:
+                    np.savetxt(
+                        args.output, result.similarity, delimiter=",", fmt="%.8g"
+                    )
+                    print(
+                        f"{result.similarity.shape} block written to {args.output}"
+                    )
+                else:
+                    with np.printoptions(precision=4, suppress=True, threshold=400):
+                        print(result.similarity)
+        return observed.code
     if args.command == "live":
-        return _run_live(args)
+        with _Observed(args) as observed:
+            _run_live(args, observed.context)
+        return observed.code
     if args.command == "spec":
         from repro.experiments.export import write_csv
         from repro.experiments.spec import ExperimentSpec, run_spec
 
         journal, retry_policy = _resilience(args, "spec")
-        tracer = _make_tracer(args)
         spec = ExperimentSpec.from_json(args.spec_path)
         if args.precision != "float64" or args.recompress_tol is not None:
             # CLI flags override the spec file's precision policy.
@@ -1101,42 +972,31 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.recompress_tol is not None:
                 overrides["recompress_tol"] = args.recompress_tol
             spec = dataclasses.replace(spec, **overrides)
-        telemetry = _telemetry_for(args)
-        try:
+        with _Observed(args) as observed:
             records = run_spec(
                 spec, journal=journal, retry_policy=retry_policy,
-                max_workers=args.workers, tracer=tracer,
-                metrics_sink=telemetry.metrics if telemetry is not None else None,
-                slow_queries=(
-                    telemetry.slow_queries if telemetry is not None else None
-                ),
+                max_workers=args.workers, context=observed.context,
             )
-        except BaseException as exc:
-            _emit_partial(args, tracer, telemetry, exc)
-            raise
-        if journal is not None:
+            if journal is not None:
+                print(
+                    f"[{journal.hits}/{len(records)} cells replayed from "
+                    f"{journal.path}]"
+                )
+            column = "dataset" if spec.sweep_axis is None else {
+                "iterations": "k",
+                "query_size": "q_a",
+                "sample_size": "n_b",
+            }[spec.sweep_axis]
             print(
-                f"[{journal.hits}/{len(records)} cells replayed from "
-                f"{journal.path}]"
+                render_records(
+                    records, column_key=column, metric=args.metric,
+                    title=spec.name,
+                )
             )
-        column = "dataset" if spec.sweep_axis is None else {
-            "iterations": "k",
-            "query_size": "q_a",
-            "sample_size": "n_b",
-        }[spec.sweep_axis]
-        print(
-            render_records(
-                records, column_key=column, metric=args.metric, title=spec.name
-            )
-        )
-        if args.export_csv:
-            write_csv(records, args.export_csv)
-            print(f"records written to {args.export_csv}")
-        slo_code = telemetry.close() if telemetry is not None else 0
-        return max(slo_code, _finish(
-            args, tracer,
-            _merged_record_metrics(records) if args.metrics else None,
-        ))
+            if args.export_csv:
+                write_csv(records, args.export_csv)
+                print(f"records written to {args.export_csv}")
+        return observed.code
     if args.command == "datasets":
         if getattr(args, "datasets_command", None) == "convert":
             from pathlib import Path
@@ -1165,38 +1025,37 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         from repro.experiments.report import render_table
         from repro.graphs import DATASETS, degree_statistics, load_dataset
-        from repro.runtime import Metrics
 
-        metrics = Metrics()
-        rows = []
-        for key in sorted(DATASETS):
-            spec = DATASETS[key]
-            with metrics.time("cli.datasets"):
-                graph = load_dataset(key, scale=args.scale, seed=args.seed)
-                stats = degree_statistics(graph)
-            rows.append(
-                [
-                    key,
-                    f"{spec.paper_nodes:,}",
-                    f"{spec.paper_edges:,}",
-                    f"{spec.edge_ratio:.1f}",
-                    f"{graph.num_nodes:,}",
-                    f"{graph.num_edges:,}",
-                    f"{graph.average_degree:.1f}",
-                    f"{stats.gini:.2f}",
-                ]
+        with _Observed(args) as observed:
+            rows = []
+            for key in sorted(DATASETS):
+                spec = DATASETS[key]
+                with observed.context.operation("cli.datasets"):
+                    graph = load_dataset(key, scale=args.scale, seed=args.seed)
+                    stats = degree_statistics(graph)
+                rows.append(
+                    [
+                        key,
+                        f"{spec.paper_nodes:,}",
+                        f"{spec.paper_edges:,}",
+                        f"{spec.edge_ratio:.1f}",
+                        f"{graph.num_nodes:,}",
+                        f"{graph.num_edges:,}",
+                        f"{graph.average_degree:.1f}",
+                        f"{stats.gini:.2f}",
+                    ]
+                )
+            print(
+                render_table(
+                    [
+                        "key", "paper n", "paper m", "paper m/n",
+                        f"{args.scale} n", f"{args.scale} m", "m/n", "gini",
+                    ],
+                    rows,
+                    title=f"Simulated dataset registry (scale={args.scale})",
+                )
             )
-        print(
-            render_table(
-                [
-                    "key", "paper n", "paper m", "paper m/n",
-                    f"{args.scale} n", f"{args.scale} m", "m/n", "gini",
-                ],
-                rows,
-                title=f"Simulated dataset registry (scale={args.scale})",
-            )
-        )
-        return _finish(args, None, metrics.snapshot() if args.metrics else None)
+        return observed.code
     raise AssertionError("unreachable")  # pragma: no cover
 
 

@@ -461,7 +461,9 @@ class GSimPlus:
         info = compact.truncation
         assert info is not None
         context.metrics.increment("gsim_plus.recompressions")
-        context.metrics.observe("gsim_plus.recompress_rank", info.retained_rank)
+        context.metrics.observe_histogram(
+            "gsim_plus.recompress_rank", info.retained_rank
+        )
         context.metrics.set_gauge(
             "gsim_plus.recompress_discarded_energy", info.discarded_energy
         )
@@ -671,13 +673,13 @@ class GSimPlus:
         try:
             if factors is not None:
                 _account(factors.nbytes, "GSim+ initial factors")
-                context.metrics.observe("gsim_plus.width", factors.width)
+                context.metrics.observe_histogram("gsim_plus.width", factors.width)
             else:
                 _account(
                     self._dense_fallback_charge(),
                     "GSim+ dense rank-cap fallback (resumed)",
                 )
-            context.metrics.observe("gsim_plus.bytes_held", charged)
+            context.metrics.record_max("gsim_plus.peak_bytes_held", charged)
             yield _IterationState(start_k, factors, dense_z, dense_log)
             for k in range(start_k + 1, iterations + 1):
                 context.checkpoint(f"GSim+ iteration {k}")
@@ -737,11 +739,11 @@ class GSimPlus:
                         span.set_attribute("z_log_norm", dense_log)
                 context.metrics.increment("gsim_plus.iterations")
                 context.metrics.increment("gsim_plus.spmm", 4)
-                context.metrics.observe(
+                context.metrics.observe_histogram(
                     "gsim_plus.width",
                     factors.width if factors is not None else width_cap,
                 )
-                context.metrics.observe("gsim_plus.bytes_held", charged)
+                context.metrics.record_max("gsim_plus.peak_bytes_held", charged)
                 if dense_z is not None:
                     context.metrics.increment("gsim_plus.dense_steps")
                     context.metrics.set_gauge("gsim_plus.z_log_norm", dense_log)

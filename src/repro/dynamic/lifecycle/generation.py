@@ -64,7 +64,7 @@ class IndexGeneration:
     Parameters
     ----------
     ordinal:
-        1-based position in the generation chain.
+        1-based install order within its manager.
     index:
         The built :class:`GSimIndex` (immutable from here on).
     versions:
@@ -173,19 +173,6 @@ class IndexGeneration:
                 self._retire_pending = True
         if fire and self._on_retire is not None:
             self._on_retire(self)
-
-    def summary(self) -> dict:
-        """A JSON-friendly row for the generation chain."""
-        return {
-            "ordinal": self.ordinal,
-            "fingerprint": self.fingerprint,
-            "versions": list(self.versions),
-            "built_at": self.built_at,
-            "build_seconds": self.build_seconds,
-            "iterations": self.iterations,
-            "width": self.factors.width,
-            "retired": self.retired,
-        }
 
     def __repr__(self) -> str:
         return (

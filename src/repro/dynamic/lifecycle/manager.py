@@ -1,9 +1,10 @@
 """The index-generation manager: background rebuilds, atomic swaps.
 
-``IndexGenerationManager`` owns a chain of immutable
+``IndexGenerationManager`` builds a succession of immutable
 :class:`repro.dynamic.lifecycle.generation.IndexGeneration` objects over
 one pair of :class:`repro.dynamic.graph.DynamicGraph` instances and
-keeps exactly one of them *live*.  The contract:
+keeps exactly one of them *live*; it holds no record of retired ones, so
+its state does not grow with the number of rebuilds.  The contract:
 
 * **Writers never block readers.**  A graph mutation marks the live
   generation stale and (in eager mode, or at the next blocking query)
@@ -168,7 +169,6 @@ class IndexGenerationManager:
         self._cond = threading.Condition(threading.Lock())
         self._build_lock = threading.Lock()  # one builder at a time
         self._live: IndexGeneration | None = None
-        self._chain: list[dict] = []
         self._next_ordinal = 1
         self._rebuild_requested = False
         self._rebuilding = False
@@ -213,11 +213,6 @@ class IndexGenerationManager:
         """The live generation's current staleness measurement."""
         with self._cond:
             return self._staleness_locked()
-
-    def generations(self) -> list[dict]:
-        """The generation chain as JSON-friendly summaries, oldest first."""
-        with self._cond:
-            return [dict(entry) for entry in self._chain]
 
     def health(self) -> dict:
         """One structured health row for dashboards and status endpoints."""
@@ -585,7 +580,6 @@ class IndexGenerationManager:
             self._next_ordinal += 1
             old = self._live
             self._live = generation
-            self._chain.append(generation.summary())
             self._last_failure = None
             current = (self._graph_a.version, self._graph_b.version)
             if current == target:
@@ -606,10 +600,6 @@ class IndexGenerationManager:
         return generation
 
     def _on_retire(self, generation: IndexGeneration) -> None:
-        with self._cond:
-            for entry in self._chain:
-                if entry["ordinal"] == generation.ordinal:
-                    entry["retired"] = True
         self._context.metrics.increment("lifecycle.generations_retired")
         self._context.release(generation.index.memory_bytes())
         self._context.tracer.event(

@@ -38,7 +38,7 @@ from repro.dynamic.lifecycle import (
     StalenessBudget,
     check_policy,
 )
-from repro.runtime import NULL_CONTEXT, ExecutionContext, RetryPolicy, WorkerPool
+from repro.runtime import NULL_CONTEXT, ExecutionContext, RetryPolicy
 from repro.utils.validation import check_positive_integer
 
 __all__ = ["AnnotatedBlock", "SessionStats", "SimilaritySession"]
@@ -137,7 +137,7 @@ class SimilaritySession:
 
     @property
     def lifecycle(self) -> IndexGenerationManager:
-        """The generation manager (health, chain, manual control)."""
+        """The generation manager (health, live generation, manual control)."""
         return self._manager
 
     @property
@@ -163,11 +163,12 @@ class SimilaritySession:
     def refresh(self) -> None:
         """Force a synchronous rebuild from the graphs' current state.
 
-        Runs in the calling thread and re-raises build failures; on
+        Runs in the calling thread as one ``session.refresh`` operation
+        of the session's context, and re-raises build failures; on
         failure the previous generation stays installed and serving, so
         the session is never left half-updated.
         """
-        with self._context.metrics.time("session.refresh"):
+        with self._context.operation("session.refresh"):
             self._manager.rebuild_now()
 
     def health(self) -> dict:
@@ -212,24 +213,20 @@ class SimilaritySession:
         normalization: str = "global",
         policy: str | None = None,
     ) -> AnnotatedBlock:
-        """Like :meth:`query`, annotated with generation and staleness."""
-        if normalization not in ("block", "global"):
-            raise ValueError(f"unknown normalization {normalization!r}")
+        """Like :meth:`query`, annotated with generation and staleness.
+
+        The block is the leased generation's
+        :meth:`repro.retrieval.GSimIndex.query`, one ``index.query``
+        operation of the session's context.
+        """
+        _check_normalization(normalization)
         policy = self.policy if policy is None else check_policy(policy)
         pre_ordinal = self._manager.live_ordinal
         with self._manager.lease(policy) as lease:
             self._note_query(lease, pre_ordinal)
-            block = lease.factors.query_block(
-                queries_a, queries_b, include_scale=False
-            )
-            if normalization == "block":
-                denominator = float(np.linalg.norm(block))
-            else:
-                denominator = lease.factors.frobenius_norm(include_scale=False)
-            if denominator == 0.0:
-                raise ZeroDivisionError("similarity collapsed to zero")
+            block = lease.index.query(queries_a, queries_b, context=self._context)
             return AnnotatedBlock(
-                block=block / denominator,
+                block=_normalized(block, normalization),
                 generation=lease.generation.ordinal,
                 fingerprint=lease.generation.fingerprint,
                 stale=lease.stale,
@@ -248,38 +245,19 @@ class SimilaritySession:
 
         The whole batch is served from a single generation — a swap that
         lands mid-batch cannot mix factor versions across the results —
-        and comes back in request order for every worker count.
+        by its :meth:`repro.retrieval.GSimIndex.query_many`, and comes
+        back in request order for every worker count.
         """
-        if normalization not in ("block", "global"):
-            raise ValueError(f"unknown normalization {normalization!r}")
+        _check_normalization(normalization)
         policy = self.policy if policy is None else check_policy(policy)
         request_list = list(requests)
         pre_ordinal = self._manager.live_ordinal
-        pool = WorkerPool.resolve(max_workers)
         with self._manager.lease(policy) as lease:
             self._note_query(lease, pre_ordinal, count=len(request_list))
-            factors = lease.factors
-            global_norm = factors.frobenius_norm(include_scale=False)
-
-            def _one(request) -> np.ndarray:
-                block = factors.query_block(
-                    request[0], request[1], include_scale=False
-                )
-                denominator = (
-                    float(np.linalg.norm(block))
-                    if normalization == "block"
-                    else global_norm
-                )
-                if denominator == 0.0:
-                    raise ZeroDivisionError("similarity collapsed to zero")
-                return block / denominator
-
-            return pool.map(
-                _one,
-                request_list,
-                context=self._context,
-                what="session query blocks",
+            blocks = lease.index.query_many(
+                request_list, max_workers=max_workers, context=self._context
             )
+            return [_normalized(block, normalization) for block in blocks]
 
     def top_matches(
         self, node_a: int, k: int = 5, policy: str | None = None
@@ -309,3 +287,19 @@ class SimilaritySession:
             and lease.generation.ordinal == pre_ordinal
         ):
             metrics.increment("session.cache_hits", count)
+
+
+def _check_normalization(normalization: str) -> None:
+    if normalization not in ("block", "global"):
+        raise ValueError(f"unknown normalization {normalization!r}")
+
+
+def _normalized(block: np.ndarray, normalization: str) -> np.ndarray:
+    """A globally normalised index block, or (``"block"``) the block
+    divided by its own norm."""
+    if normalization == "global":
+        return block
+    norm = float(np.linalg.norm(block))
+    if norm == 0.0:
+        raise ZeroDivisionError("similarity collapsed to zero")
+    return block / norm

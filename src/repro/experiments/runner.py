@@ -43,14 +43,11 @@ from repro.graphs.graph import Graph
 from repro.runtime import BudgetExceeded, ExecutionContext
 from repro.runtime.parallel import WorkerPool
 from repro.runtime.resilience import RetryPolicy
-from repro.runtime.trace import NULL_TRACER, NullTracer, Tracer
 from repro.utils.memory import MemoryTracker
 from repro.utils.timing import Stopwatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.journal import RunJournal
-    from repro.runtime.metrics import Metrics
-    from repro.runtime.telemetry import SlowQueryLog
 
 __all__ = [
     "ALGORITHMS",
@@ -164,22 +161,21 @@ class ExperimentConfig:
     concurrently (tracemalloc is process-global and cannot attribute
     allocations to a cell).
 
-    ``tracer`` threads a :class:`repro.runtime.Tracer` through the sweep:
-    one ``sweep.run`` root span, one ``sweep.cell`` span per cell
-    (attributes: cell key, algorithm, dataset, outcome, attempts, journal
-    replay) stitched under the root even when cells run on worker
-    threads, and the per-cell contexts inherit the tracer so solver and
-    shard spans nest inside their cell.
-
-    ``metrics_sink`` is a live aggregation target for operational
-    telemetry: every finished cell's metric snapshot is merged into it
-    as the cell completes, so a
-    :class:`repro.runtime.telemetry.PeriodicFlusher` watching the sink
-    exports sweep progress at cell granularity instead of only at the
-    end.  ``slow_queries`` rides the per-cell contexts the same way, so
-    retrieval calls inside cells land in one shared slow-query ring.
-    Both are observation-only: results are bit-identical with or without
-    them.
+    ``context`` is the sweep's :class:`repro.runtime.ExecutionContext`
+    (``None`` means :data:`repro.runtime.NULL_CONTEXT`).  Its tracer
+    records one ``sweep.run`` root span and one ``sweep.cell`` span per
+    cell (attributes: cell key, algorithm, dataset, outcome, attempts,
+    journal replay), stitched under the root even when cells run on
+    worker threads.  Each cell runs under a context of its own (armed
+    deadline, fresh ledger, fresh metrics for :attr:`RunRecord.metrics`)
+    that borrows the sweep context's tracer and slow-query log, so
+    solver and shard spans nest inside their cell and retrieval calls
+    land in one slow-query ring.  Every finished cell's metric snapshot
+    is merged into the sweep context's metrics as the cell completes,
+    with the ``sweep.cells`` and ``sweep.quarantined`` counters, so a
+    :class:`repro.runtime.telemetry.PeriodicFlusher` watching them
+    exports sweep progress at cell granularity.  The context only
+    observes: results are bit-identical with or without it.
     """
 
     scale: str = "small"
@@ -190,12 +186,10 @@ class ExperimentConfig:
     retry_policy: RetryPolicy | None = None
     journal: "RunJournal | None" = None
     max_workers: int = 1
-    tracer: "Tracer | None" = None
     precision: str = "float64"
     recompress_tol: float | None = None
-    metrics_sink: "Metrics | None" = None
-    slow_queries: "SlowQueryLog | None" = None
     solver_workers: int | None = None
+    context: ExecutionContext | None = None
 
     def solver_options(self) -> dict[str, object]:
         """Non-default GSim+ solver knobs, for :func:`run_algorithm`.
@@ -440,11 +434,9 @@ def run_algorithm(
     retry_policy: RetryPolicy | None = None,
     journal: "RunJournal | None" = None,
     track_memory: bool = True,
-    tracer: "Tracer | NullTracer | None" = None,
+    context: ExecutionContext | None = None,
     trace_parent=None,
     solver_options: dict[str, object] | None = None,
-    metrics_sink: "Metrics | None" = None,
-    slow_queries: "SlowQueryLog | None" = None,
 ) -> RunRecord:
     """Gate, execute, and measure one experiment cell.
 
@@ -473,23 +465,21 @@ def run_algorithm(
     memory-ledger peak instead; :func:`run_cells` sets this
     automatically when the sweep runs on a worker pool.
 
-    With a ``tracer``, the whole cell — journal replays, every retry
-    attempt, and quarantine — runs inside one ``sweep.cell`` span
+    ``context`` is the sweep's context (see :class:`ExperimentConfig`).
+    The whole cell — journal replays, every retry attempt, and
+    quarantine — runs inside one ``sweep.cell`` span on its tracer
     (attributes: cell key, algorithm, dataset, outcome, attempts,
     ``replayed``); ``trace_parent`` stitches it under the submitting
-    sweep's root span when cells execute on worker threads.  A
-    quarantined cell additionally logs a ``sweep.quarantined`` event.
-
-    ``metrics_sink`` receives the finished cell's metric snapshot via
-    :meth:`Metrics.merge_snapshot` (replayed cells included), so a
-    telemetry flusher watching the sink sees the sweep advance cell by
-    cell; ``slow_queries`` is handed to the cell's execution context so
-    retrieval latencies inside the cell feed one shared slow-query ring.
+    sweep's root span when cells execute on worker threads.  The
+    finished cell's metric snapshot (replayed cells included) is merged
+    into ``context.metrics`` and counted in ``sweep.cells``; a
+    quarantined cell is also counted in ``sweep.quarantined`` and logs a
+    ``sweep.quarantined`` event.
     """
     memory_budget = memory_budget or MemoryBudget()
     deadline = deadline or Deadline()
     dataset = dataset or graph_a.name
-    tracer = tracer if tracer is not None else NULL_TRACER
+    context = ExecutionContext.resolve(context)
     params = instance_params(graph_a, graph_b, queries_a, queries_b, iterations)
     record_params: dict[str, object] = {
         "n_a": params.n_a,
@@ -503,7 +493,7 @@ def run_algorithm(
     if solver_options:
         record_params.update(solver_options)
     key = cell_key(spec.name, dataset, record_params)
-    with tracer.span("sweep.cell", parent=trace_parent) as cell_span:
+    with context.tracer.span("sweep.cell", parent=trace_parent) as cell_span:
         cell_span.set_attribute("cell", key)
         cell_span.set_attribute("algorithm", spec.name)
         cell_span.set_attribute("dataset", dataset)
@@ -512,8 +502,7 @@ def run_algorithm(
             if replayed is not None:
                 cell_span.set_attribute("replayed", True)
                 cell_span.set_attribute("outcome", replayed.outcome.value)
-                if metrics_sink is not None and replayed.metrics:
-                    metrics_sink.merge_snapshot(replayed.metrics)
+                _count_cell(context, replayed)
                 return replayed
 
         max_attempts = retry_policy.max_attempts if retry_policy is not None else 1
@@ -523,8 +512,8 @@ def run_algorithm(
                 record = _execute_cell(
                     spec, graph_a, graph_b, queries_a, queries_b, iterations,
                     memory_budget, deadline, dataset, params, record_params,
-                    track_memory=track_memory, tracer=tracer,
-                    solver_options=solver_options, slow_queries=slow_queries,
+                    context, track_memory=track_memory,
+                    solver_options=solver_options,
                 )
             except Exception as exc:
                 if retry_policy is None or not retry_policy.is_transient(exc):
@@ -538,7 +527,8 @@ def run_algorithm(
                         note=f"quarantined after {attempt} attempts: {exc}",
                         attempts=attempt,
                     )
-                    tracer.event(
+                    context.metrics.increment("sweep.quarantined")
+                    context.tracer.event(
                         "sweep.quarantined",
                         severity="error",
                         span=cell_span,
@@ -556,9 +546,15 @@ def run_algorithm(
         cell_span.set_attribute("attempts", record.attempts)
         if journal is not None:
             journal.record(key, record)
-        if metrics_sink is not None and record.metrics:
-            metrics_sink.merge_snapshot(record.metrics)
+        _count_cell(context, record)
         return record
+
+
+def _count_cell(context: ExecutionContext, record: RunRecord) -> None:
+    """Fold a finished cell into the sweep context's metrics."""
+    if record.metrics:
+        context.metrics.merge_snapshot(record.metrics)
+    context.metrics.increment("sweep.cells")
 
 
 def _execute_cell(
@@ -573,10 +569,9 @@ def _execute_cell(
     dataset: str,
     params: InstanceParams,
     record_params: dict[str, object],
+    sweep: ExecutionContext,
     track_memory: bool = True,
-    tracer: "Tracer | NullTracer | None" = None,
     solver_options: dict[str, object] | None = None,
-    slow_queries: "SlowQueryLog | None" = None,
 ) -> RunRecord:
     """One gated, measured attempt (structured vetoes become records)."""
     solver_options = solver_options or {}
@@ -605,8 +600,8 @@ def _execute_cell(
 
     stopwatch = Stopwatch()
     context = ExecutionContext(
-        deadline=deadline.arm(), memory=memory_budget.ledger(), tracer=tracer,
-        slow_queries=slow_queries,
+        deadline=deadline.arm(), memory=memory_budget.ledger(),
+        tracer=sweep.tracer, slow_queries=sweep.slow_queries,
     )
     tracker: MemoryTracker | None = None
     try:
@@ -703,9 +698,9 @@ def run_cells(
     """
     pool = WorkerPool.resolve(config.max_workers)
     track_memory = pool.serial or len(tasks) <= 1
-    tracer = config.tracer if config.tracer is not None else NULL_TRACER
+    context = ExecutionContext.resolve(config.context)
 
-    with tracer.span("sweep.run") as root:
+    with context.tracer.span("sweep.run") as root:
         root.set_attribute("cells", len(tasks))
         root.set_attribute("max_workers", pool.max_workers)
 
@@ -728,11 +723,9 @@ def run_cells(
                 retry_policy=config.retry_policy,
                 journal=config.journal,
                 track_memory=track_memory,
-                tracer=tracer,
+                context=context,
                 trace_parent=root,
                 solver_options=cell_options,
-                metrics_sink=config.metrics_sink,
-                slow_queries=config.slow_queries,
             )
 
         return pool.map(_run, tasks, what="sweep cells")

@@ -47,8 +47,8 @@ from repro.workloads.queries import make_workload
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.experiments.journal import RunJournal
+    from repro.runtime import ExecutionContext
     from repro.runtime.resilience import RetryPolicy
-    from repro.runtime.trace import Tracer
 
 __all__ = ["ExperimentSpec", "run_spec"]
 
@@ -145,9 +145,7 @@ def run_spec(
     journal: "RunJournal | None" = None,
     retry_policy: "RetryPolicy | None" = None,
     max_workers: int = 1,
-    tracer: "Tracer | None" = None,
-    metrics_sink=None,
-    slow_queries=None,
+    context: "ExecutionContext | None" = None,
 ) -> list[RunRecord]:
     """Expand and execute a spec; returns one record per cell.
 
@@ -159,9 +157,8 @@ def run_spec(
     replayed, the rest executed and persisted immediately);
     ``retry_policy`` retries transient per-cell failures and quarantines
     cells that keep failing; ``max_workers > 1`` executes independent
-    cells concurrently; ``tracer`` records per-cell spans, and
-    ``metrics_sink`` / ``slow_queries`` thread operational telemetry
-    through the cells (see
+    cells concurrently; ``context`` observes the sweep: per-cell spans,
+    merged cell metrics and a shared slow-query log (see
     :class:`repro.experiments.runner.ExperimentConfig`).
     """
     config = ExperimentConfig(
@@ -173,11 +170,9 @@ def run_spec(
         retry_policy=retry_policy,
         journal=journal,
         max_workers=max_workers,
-        tracer=tracer,
         precision=spec.precision,
         recompress_tol=spec.recompress_tol,
-        metrics_sink=metrics_sink,
-        slow_queries=slow_queries,
+        context=context,
     )
     tasks: list[CellTask] = []
     for dataset in spec.datasets:

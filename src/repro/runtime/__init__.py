@@ -5,9 +5,11 @@ retrieval, and serving loop in the library takes an
 :class:`ExecutionContext` (public entry points put the shared
 :data:`NULL_CONTEXT` in place of ``None``), polls its deadline and
 cancellation token at checkpoints, charges working sets against its live
-memory ledger, and records counters/timers/series into its
+memory ledger, and records counters, gauges and histograms into its
 :class:`Metrics` sink.  Budget breaches surface as structured
 :class:`BudgetExceeded` failures carrying the metrics collected so far.
+One context carries observation from a CLI command or a sweep down to
+every cell, solver step and query.
 
 The experiment guards (:mod:`repro.experiments.guards`) are thin
 re-exports of :class:`Deadline` / :class:`MemoryBudget`, so predictive
@@ -45,7 +47,6 @@ from repro.runtime.errors import (
 from repro.runtime.metrics import (
     HISTOGRAM_BUCKETS,
     Metrics,
-    TimerReading,
     histogram_bucket_bounds,
 )
 from repro.runtime.parallel import WorkerPool, shard_ranges, shard_rows_by_nnz
@@ -110,7 +111,6 @@ __all__ = [
     "SlowQueryLog",
     "Span",
     "TelemetrySession",
-    "TimerReading",
     "Tracer",
     "TransientError",
     "WallClockDeadline",

@@ -14,7 +14,7 @@ iteration, a row block, a query pair):
    :meth:`ExecutionContext.holding` for a scoped charge) accounts bytes
    against the live :class:`repro.runtime.budget.MemoryLedger` *before*
    allocating, converting would-be OOMs into clean structured failures;
-4. **record metrics** — counters/timers/series on
+4. **record metrics** — counters, gauges and histograms on
    :attr:`ExecutionContext.metrics`.
 
 A request-level call (a query, a scan, a build) is observed through one
@@ -352,8 +352,7 @@ class _NullMetrics(Metrics):
     def _ignore(self, name: str, value: float = 1.0) -> None:
         pass
 
-    increment = add_time = set_gauge = record_max = _ignore
-    observe = observe_histogram = _ignore
+    increment = set_gauge = record_max = observe_histogram = _ignore
 
     def merge_snapshot(self, snapshot: dict[str, Any]) -> None:
         pass

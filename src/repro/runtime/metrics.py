@@ -1,22 +1,24 @@
-"""Thread-safe named counters, timers, gauges, series, and histograms.
+"""Thread-safe named counters, gauges, and histograms.
 
 One :class:`Metrics` instance is the observability sink of an
-:class:`repro.runtime.context.ExecutionContext`.  Five kinds of
+:class:`repro.runtime.context.ExecutionContext`.  Three kinds of
 measurement are supported, all keyed by dot-separated names
 (``"<layer>.<quantity>"`` by convention, e.g. ``"gsim_plus.spmm"`` or
 ``"batch.blocks_served"``):
 
 * **counters** — monotonically accumulated floats (:meth:`increment`);
-* **timers** — total seconds plus call count (:meth:`time` /
-  :meth:`add_time`);
 * **gauges** — last/max values (:meth:`set_gauge` / :meth:`record_max`);
-* **series** — ordered per-step observations such as the factor width per
-  iteration (:meth:`observe`);
 * **histograms** — log-spaced bucketed distributions with p50/p90/p99
-  estimates (:meth:`observe_histogram`), the latency-distribution kind:
-  a series stores every observation, a histogram stores a fixed bucket
-  layout so a million per-query latencies cost a few hundred ints and
-  two snapshots merge by plain bucket addition.
+  estimates (:meth:`observe_histogram`): latencies, per-step factor
+  widths, recompression ranks.  A histogram stores a fixed bucket
+  layout, so a million observations cost a few hundred ints and two
+  snapshots merge by plain bucket addition.
+
+Every kind is bounded by its set of names: nothing grows with the number
+of observations, so a sink attached to a long-lived session stays the
+same size however many rebuilds or queries it records.  Wall time is a
+histogram too; :meth:`repro.runtime.ExecutionContext.operation` records
+one per observed call.
 
 All mutators take one internal lock, so worker threads (e.g. the
 ``BatchQueryEngine`` thread pool) can aggregate into a shared instance
@@ -29,23 +31,14 @@ from __future__ import annotations
 
 import math
 import threading
-import time
-from contextlib import contextmanager
-from typing import Any, Iterator, NamedTuple
+from typing import Any
 
-__all__ = ["HISTOGRAM_BUCKETS", "Metrics", "TimerReading", "histogram_bucket_bounds"]
+__all__ = ["HISTOGRAM_BUCKETS", "Metrics", "histogram_bucket_bounds"]
 
 
 def _tidy(value: float) -> float | int:
     """Render integral floats as ints in snapshots (JSON neatness)."""
     return int(value) if float(value).is_integer() else float(value)
-
-
-class TimerReading(NamedTuple):
-    """One timer's accumulated state: total seconds and call count."""
-
-    seconds: float
-    calls: int
 
 
 # ----------------------------------------------------------------------
@@ -168,22 +161,20 @@ class Metrics:
     >>> metrics = Metrics()
     >>> metrics.increment("solver.iterations")
     >>> metrics.increment("solver.spmm", 4)
-    >>> metrics.observe("solver.width", 2)
+    >>> metrics.observe_histogram("solver.width", 2)
     >>> metrics.counter("solver.spmm")
     4.0
     >>> snap = metrics.snapshot()
-    >>> snap["counters"]["solver.iterations"], snap["series"]["solver.width"]
-    (1, [2])
+    >>> snap["counters"]["solver.iterations"], snap["histograms"]["solver.width"]["max"]
+    (1, 2.0)
     """
 
-    __slots__ = ("_lock", "_counters", "_timers", "_gauges", "_series", "_histograms")
+    __slots__ = ("_lock", "_counters", "_gauges", "_histograms")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
-        self._timers: dict[str, list[float]] = {}  # name -> [seconds, calls]
         self._gauges: dict[str, float] = {}
-        self._series: dict[str, list[float]] = {}
         self._histograms: dict[str, _Histogram] = {}
 
     # ------------------------------------------------------------------
@@ -198,33 +189,6 @@ class Metrics:
         """Current value of counter ``name`` (0.0 when never incremented)."""
         with self._lock:
             return self._counters.get(name, 0.0)
-
-    # ------------------------------------------------------------------
-    # Timers
-    # ------------------------------------------------------------------
-    def add_time(self, name: str, seconds: float) -> None:
-        """Fold ``seconds`` into timer ``name`` and bump its call count."""
-        with self._lock:
-            entry = self._timers.setdefault(name, [0.0, 0.0])
-            entry[0] += float(seconds)
-            entry[1] += 1.0
-
-    @contextmanager
-    def time(self, name: str) -> Iterator[None]:
-        """Context manager measuring its block's wall time into ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_time(name, time.perf_counter() - start)
-
-    def timer(self, name: str) -> TimerReading:
-        """Accumulated state of timer ``name`` (zeros when never timed)."""
-        with self._lock:
-            entry = self._timers.get(name)
-            if entry is None:
-                return TimerReading(0.0, 0)
-            return TimerReading(float(entry[0]), int(entry[1]))
 
     # ------------------------------------------------------------------
     # Gauges
@@ -245,19 +209,6 @@ class Metrics:
         """Current value of gauge ``name`` (None when never set)."""
         with self._lock:
             return self._gauges.get(name)
-
-    # ------------------------------------------------------------------
-    # Series
-    # ------------------------------------------------------------------
-    def observe(self, name: str, value: float) -> None:
-        """Append ``value`` to the ordered series ``name``."""
-        with self._lock:
-            self._series.setdefault(name, []).append(float(value))
-
-    def series(self, name: str) -> list[float]:
-        """A copy of series ``name`` (empty when never observed)."""
-        with self._lock:
-            return list(self._series.get(name, ()))
 
     # ------------------------------------------------------------------
     # Histograms
@@ -324,16 +275,8 @@ class Metrics:
                 "counters": {
                     name: _tidy(value) for name, value in sorted(self._counters.items())
                 },
-                "timers": {
-                    name: {"seconds": float(entry[0]), "calls": int(entry[1])}
-                    for name, entry in sorted(self._timers.items())
-                },
                 "gauges": {
                     name: _tidy(value) for name, value in sorted(self._gauges.items())
-                },
-                "series": {
-                    name: [_tidy(value) for value in values]
-                    for name, values in sorted(self._series.items())
                 },
                 "histograms": {
                     name: histogram.to_snapshot()
@@ -344,22 +287,16 @@ class Metrics:
     def merge_snapshot(self, snapshot: dict[str, Any]) -> None:
         """Fold a :meth:`snapshot` from another instance into this one.
 
-        Counters and timers add, gauges take the max, series extend — the
-        right semantics for aggregating per-cell metrics into a session
-        total.
+        Counters add, gauges take the max, histograms add bucket by
+        bucket — the right semantics for aggregating per-cell metrics into
+        a session total.  The ``timers`` and ``series`` sections of
+        snapshots written before those kinds were removed (old run
+        journals carry them) are ignored.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.increment(name, value)
-        for name, entry in snapshot.get("timers", {}).items():
-            with self._lock:
-                slot = self._timers.setdefault(name, [0.0, 0.0])
-                slot[0] += float(entry["seconds"])
-                slot[1] += float(entry["calls"])
         for name, value in snapshot.get("gauges", {}).items():
             self.record_max(name, value)
-        for name, values in snapshot.get("series", {}).items():
-            with self._lock:
-                self._series.setdefault(name, []).extend(float(v) for v in values)
         for name, entry in snapshot.get("histograms", {}).items():
             with self._lock:
                 histogram = self._histograms.get(name)
@@ -371,7 +308,6 @@ class Metrics:
         with self._lock:
             return (
                 f"Metrics(counters={len(self._counters)}, "
-                f"timers={len(self._timers)}, gauges={len(self._gauges)}, "
-                f"series={len(self._series)}, "
+                f"gauges={len(self._gauges)}, "
                 f"histograms={len(self._histograms)})"
             )

@@ -22,9 +22,9 @@ Cooperation with :class:`repro.runtime.ExecutionContext`:
 * the context is checkpointed between shard submissions and before every
   shard body, so cancellation and deadline expiry propagate into workers
   at shard granularity (shard bodies may poll more finely themselves);
-* per-shard wall time is folded into the ``parallel.shard_seconds``
-  timer and shard/task counts into ``parallel.shards``, so a metrics
-  snapshot shows how much work ran under the pool;
+* per-shard wall time lands in the ``parallel.shard_seconds`` histogram
+  and shard/task counts in ``parallel.shards``, so a metrics snapshot
+  shows how much work ran under the pool and how evenly;
 * budget breaches raised inside a worker surface to the caller exactly
   as the serial path would raise them — the first failing shard in
   submission order wins, and queued shards are skipped;
@@ -175,7 +175,7 @@ class WorkerPool:
         The context (when given) is checkpointed before every shard, so a
         cancelled token or expired deadline stops the work at shard
         granularity; per-shard wall time lands in the
-        ``parallel.shard_seconds`` timer.  The first shard to fail — in
+        ``parallel.shard_seconds`` histogram.  The first shard to fail — in
         *submission* order, independent of thread scheduling — has its
         exception re-raised here, and shards that had not started yet are
         skipped.
@@ -235,7 +235,7 @@ class WorkerPool:
                 span.set_attribute("what", what)
                 return fn(item)
         finally:
-            context.metrics.add_time(
+            context.metrics.observe_histogram(
                 "parallel.shard_seconds", time.perf_counter() - start
             )
             context.metrics.increment("parallel.shards")

@@ -5,7 +5,7 @@ one process observed; this module makes those observations *outlive* the
 process and *mean something operationally*:
 
 * :class:`MetricsExporter` renders any :meth:`Metrics.snapshot` as
-  Prometheus text-exposition format (counters, gauges, timers, and the
+  Prometheus text-exposition format (counters, gauges, and the
   log-spaced histograms as cumulative ``_bucket{le=...}`` series) and as
   an append-only JSONL time-series one snapshot per line;
 * :class:`PeriodicFlusher` is a bounded, daemonized, exception-safe
@@ -99,11 +99,9 @@ class MetricsExporter:
 
     * :meth:`prometheus_text` — the text exposition format any Prometheus
       scraper (or ``promtool check metrics``) accepts.  Counters export as
-      ``<ns>_<name>_total``, timers as a ``_seconds_total`` /
-      ``_calls_total`` pair, gauges as gauges, series as an observation
-      count plus last value, and histograms as cumulative
-      ``_bucket{le="..."}`` series (the fixed log-spaced layout of
-      :mod:`repro.runtime.metrics`) with ``_sum`` and ``_count``;
+      ``<ns>_<name>_total``, gauges as gauges, and histograms as
+      cumulative ``_bucket{le="..."}`` series (the fixed log-spaced layout
+      of :mod:`repro.runtime.metrics`) with ``_sum`` and ``_count``;
     * :meth:`append_jsonl` — one ``{"ts": ..., **snapshot}`` object per
       line, append-only, so repeated flushes build a replayable
       time-series a notebook can ``json.loads`` line by line.
@@ -124,44 +122,21 @@ class MetricsExporter:
     def prometheus_text(self, snapshot: dict[str, Any]) -> str:
         lines: list[str] = []
 
-        def emit(name: str, kind: str, value: float, help_text: str,
-                 labels: str = "") -> None:
+        def emit(name: str, kind: str, value: float, help_text: str) -> None:
             lines.append(f"# HELP {name} {help_text}")
             lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name}{labels} {_prom_number(float(value))}")
+            lines.append(f"{name} {_prom_number(float(value))}")
 
         for raw, value in snapshot.get("counters", {}).items():
             emit(
                 _prom_name(self.namespace, raw, "total"), "counter",
                 value, f"counter {raw}",
             )
-        for raw, entry in snapshot.get("timers", {}).items():
-            # Avoid "..._seconds_seconds_total" for timers already named
-            # with a _seconds suffix.
-            base = raw[:-8] if raw.endswith("_seconds") else raw
-            emit(
-                _prom_name(self.namespace, base, "seconds_total"), "counter",
-                entry["seconds"], f"accumulated seconds of timer {raw}",
-            )
-            emit(
-                _prom_name(self.namespace, base, "calls_total"), "counter",
-                entry["calls"], f"call count of timer {raw}",
-            )
         for raw, value in snapshot.get("gauges", {}).items():
             emit(
                 _prom_name(self.namespace, raw), "gauge",
                 value, f"gauge {raw}",
             )
-        for raw, values in snapshot.get("series", {}).items():
-            emit(
-                _prom_name(self.namespace, raw, "observations_total"),
-                "counter", len(values), f"observation count of series {raw}",
-            )
-            if values:
-                emit(
-                    _prom_name(self.namespace, raw, "last"), "gauge",
-                    values[-1], f"latest observation of series {raw}",
-                )
         for raw, hist in snapshot.get("histograms", {}).items():
             name = _prom_name(self.namespace, raw)
             lines.append(f"# HELP {name} histogram {raw}")
@@ -710,8 +685,7 @@ class TelemetrySession:
     """Everything ``--telemetry-dir`` stands up, behind start()/close().
 
     Owns a :class:`SlowQueryLog` (hand :attr:`slow_queries` to the
-    :class:`repro.runtime.ExecutionContext` or
-    :class:`repro.experiments.ExperimentConfig` driving the run), a
+    :class:`repro.runtime.ExecutionContext` driving the run), a
     :class:`ResourceMonitor` writing into ``metrics``, and a
     :class:`PeriodicFlusher` exporting ``source()`` (default
     ``metrics.snapshot``) to ``directory`` every ``interval_seconds``.

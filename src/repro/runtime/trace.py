@@ -1,7 +1,7 @@
 """Hierarchical tracing: spans, a structured event log, and exporters.
 
 :class:`repro.runtime.metrics.Metrics` answers *how much* (counters,
-timers, histograms); this module answers *where the time went*.  A
+gauges, histograms); this module answers *where the time went*.  A
 :class:`Tracer` records **spans** — named, nested wall-clock intervals —
 plus a bounded **structured event log**, and exports both:
 
@@ -33,9 +33,9 @@ record; compute loops open plain spans on ``context.tracer``::
         ...
         operation.set_attribute("cells", block.size)
 
-Both buffers are bounded (``max_spans`` / ``max_events``, oldest records
-dropped first, drops counted), so a tracer left attached to a long-lived
-serving context cannot grow without bound.
+Both buffers are bounded rings (``max_spans`` / ``max_events``, oldest
+records dropped first in constant time, drops counted), so a tracer left
+attached to a long-lived serving context cannot grow without bound.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import json
 import os
 import threading
 import time
+from collections import deque
 from typing import Any, Iterable
 
 __all__ = [
@@ -216,10 +217,8 @@ class Tracer:
             raise ValueError("max_spans and max_events must be >= 1")
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._max_spans = int(max_spans)
-        self._max_events = int(max_events)
-        self._spans: list[Span] = []
-        self._events: list[dict[str, Any]] = []
+        self._spans: deque[Span] = deque(maxlen=int(max_spans))
+        self._events: deque[dict[str, Any]] = deque(maxlen=int(max_events))
         self._next_id = 1
         self.dropped_spans = 0
         self.dropped_events = 0
@@ -284,10 +283,9 @@ class Tracer:
             "attributes": attributes,
         }
         with self._lock:
-            self._events.append(record)
-            if len(self._events) > self._max_events:
-                del self._events[0]
+            if len(self._events) == self._events.maxlen:
                 self.dropped_events += 1
+            self._events.append(record)
 
     # Internal hooks used by Span.__enter__/__exit__.
     def _push(self, span: Span) -> None:
@@ -308,10 +306,9 @@ class Tracer:
 
     def _record(self, span: Span) -> None:
         with self._lock:
-            self._spans.append(span)
-            if len(self._spans) > self._max_spans:
-                del self._spans[0]
+            if len(self._spans) == self._spans.maxlen:
                 self.dropped_spans += 1
+            self._spans.append(span)
 
     # ------------------------------------------------------------------
     # Reading & export

@@ -434,14 +434,24 @@ class TestSweepEquivalence:
             )
             for i in range(3)
         ]
+        tracer = Tracer()
+        context = ExecutionContext(tracer=tracer)
         config = ExperimentConfig(
             max_workers=2,
             retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
+            context=context,
         )
         records = run_cells(tasks, config)
         assert [record.outcome.value for record in records] == ["error"] * 3
         assert all(record.attempts == 2 for record in records)
         assert all("quarantined" in record.note for record in records)
+        assert context.metrics.counter("sweep.quarantined") == 3
+        assert context.metrics.counter("sweep.cells") == 3
+        # Cells ran on worker threads, yet nest under the sweep's root.
+        (root,) = [s for s in tracer.spans() if s.name == "sweep.run"]
+        cells = [s for s in tracer.spans() if s.name == "sweep.cell"]
+        assert len(cells) == 3
+        assert all(cell.parent_id == root.span_id for cell in cells)
 
     def test_parallel_cells_report_ledger_memory(self, graph_pair):
         tasks = _tiny_tasks(graph_pair)

@@ -18,7 +18,6 @@ from repro.core.gsim_plus import GSimPlus, gsim_plus
 from repro.core.serialization import load_factors, save_factors
 from repro.experiments.journal import RunJournal
 from repro.experiments.runner import (
-    ALGORITHMS,
     AlgorithmSpec,
     Outcome,
     cell_key,
@@ -644,6 +643,45 @@ class TestRunJournal:
             resumed = RunJournal(path, resume=True)
         assert len(resumed) == 1
         assert resumed.skipped_lines == 1
+
+    def test_legacy_timer_and_series_snapshot_replays(self, tmp_path):
+        """A journal line written before the timer and series metric
+        kinds were removed still replays, and its metrics merge into the
+        sweep context without those two sections."""
+        import json
+
+        from repro.experiments.journal import _line_checksum
+
+        a, b, qa, qb = self._pair()
+        path = tmp_path / "journal.jsonl"
+        executions: list[int] = []
+        spec = _counting_spec(executions)
+        run_algorithm(spec, a, b, qa, qb, 3, journal=RunJournal(path))
+        # Rewrite the line as the older code wrote it.
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        del entry["checksum"]
+        entry["record"]["metrics"] = {
+            "counters": {"gsim_plus.iterations": 3},
+            "gauges": {"memory.peak_bytes": 1024},
+            "histograms": {},
+            "timers": {"cli.accuracy": {"seconds": 0.5, "calls": 1}},
+            "series": {"gsim_plus.width": [1, 2, 4, 4]},
+        }
+        entry["checksum"] = _line_checksum(entry)
+        path.write_text(json.dumps(entry, sort_keys=True) + "\n", encoding="utf-8")
+
+        context = ExecutionContext()
+        replayed = run_algorithm(
+            spec, a, b, qa, qb, 3,
+            journal=RunJournal(path, resume=True), context=context,
+        )
+        assert len(executions) == 1, "the legacy cell must replay, not execute"
+        assert replayed.ok
+        assert context.snapshot() == {
+            "counters": {"gsim_plus.iterations": 3, "sweep.cells": 1},
+            "gauges": {"memory.peak_bytes": 1024},
+            "histograms": {},
+        }
 
     def test_cell_key_distinguishes_axes(self):
         a, b, qa, qb = self._pair()

@@ -58,17 +58,6 @@ class TestMetrics:
         assert metrics.counter("x") == 5.0
         assert metrics.counter("never") == 0.0
 
-    def test_timer_context_manager(self):
-        metrics = Metrics()
-        with metrics.time("block"):
-            pass
-        with metrics.time("block"):
-            pass
-        reading = metrics.timer("block")
-        assert reading.calls == 2
-        assert reading.seconds >= 0.0
-        assert metrics.timer("never") == (0.0, 0)
-
     def test_gauges_and_record_max(self):
         metrics = Metrics()
         metrics.set_gauge("g", 7)
@@ -78,40 +67,45 @@ class TestMetrics:
         metrics.record_max("peak", 4)
         assert metrics.gauge("peak") == 10.0
 
-    def test_series_ordered(self):
-        metrics = Metrics()
-        for value in (1, 2, 4, 8):
-            metrics.observe("width", value)
-        assert metrics.series("width") == [1, 2, 4, 8]
-
     def test_snapshot_is_a_deep_copy(self):
         metrics = Metrics()
         metrics.increment("n")
-        metrics.observe("s", 1)
+        metrics.observe_histogram("h", 1)
         snap = metrics.snapshot()
         metrics.increment("n")
-        metrics.observe("s", 2)
+        metrics.observe_histogram("h", 2)
         assert snap["counters"]["n"] == 1
-        assert snap["series"]["s"] == [1]
+        assert snap["histograms"]["h"]["count"] == 1
+        assert set(snap) == {"counters", "gauges", "histograms"}
 
     def test_merge_snapshot_semantics(self):
         first = Metrics()
         first.increment("calls", 2)
         first.record_max("peak", 5)
-        first.observe("w", 1)
-        first.add_time("t", 0.5)
+        first.observe_histogram("w", 1)
         second = Metrics()
         second.increment("calls", 3)
         second.record_max("peak", 9)
-        second.observe("w", 2)
-        second.add_time("t", 0.25)
+        second.observe_histogram("w", 2)
         first.merge_snapshot(second.snapshot())
         snap = first.snapshot()
         assert snap["counters"]["calls"] == 5
         assert snap["gauges"]["peak"] == 9
-        assert snap["series"]["w"] == [1, 2]
-        assert first.timer("t").calls == 2
-        assert first.timer("t").seconds == pytest.approx(0.75)
+        assert snap["histograms"]["w"]["count"] == 2
+        assert snap["histograms"]["w"]["sum"] == 3
+
+    def test_merge_ignores_legacy_timers_and_series(self):
+        """Snapshots written before the timer and series kinds went
+        (every old run journal carries them) still merge."""
+        metrics = Metrics()
+        metrics.merge_snapshot({
+            "counters": {"calls": 1},
+            "timers": {"t": {"seconds": 0.5, "calls": 2}},
+            "series": {"w": [1, 2, 4]},
+        })
+        assert metrics.snapshot() == {
+            "counters": {"calls": 1}, "gauges": {}, "histograms": {},
+        }
 
     def test_thread_safety_no_lost_increments(self):
         metrics = Metrics()
@@ -244,7 +238,10 @@ class TestGSimPlusUnderContext:
         assert snap["counters"]["gsim_plus.iterations"] == 6
         assert snap["counters"]["gsim_plus.spmm"] == 24
         # widths double (1, 2, 4, 8) then pin at min(n_a, n_b) = 8 dense.
-        assert snap["series"]["gsim_plus.width"] == [1, 2, 4, 8, 8, 8, 8]
+        widths = snap["histograms"]["gsim_plus.width"]
+        assert (widths["count"], widths["sum"]) == (7, 1 + 2 + 4 + 8 * 4)
+        assert (widths["min"], widths["max"]) == (1, 8)
+        assert snap["gauges"]["gsim_plus.peak_bytes_held"] > 0
         assert snap["counters"]["gsim_plus.dense_steps"] == 3
 
     def test_deadline_armed_mid_run_stops_with_partial_metrics(self):

@@ -81,16 +81,6 @@ class TestPrometheusExport:
         assert "# TYPE repro_index_queries_total counter" in text
         assert "# TYPE repro_memory_held_bytes gauge" in text
 
-    def test_timer_suffix_not_duplicated(self):
-        metrics = Metrics()
-        metrics.merge_snapshot(
-            {"timers": {"parallel.shard_seconds": {"seconds": 1.5, "calls": 3}}}
-        )
-        text = MetricsExporter().prometheus_text(metrics.snapshot())
-        assert "repro_parallel_shard_seconds_total 1.5" in text
-        assert "repro_parallel_shard_calls_total 3" in text
-        assert "seconds_seconds" not in text
-
     def test_histogram_cumulative_buckets(self):
         metrics = Metrics()
         for value in (0.001, 0.002, 0.05, 1.2):
@@ -542,10 +532,11 @@ class TestGoldenSnapshot:
         metrics = Metrics()
         metrics.increment("index.queries", 3)
         metrics.set_gauge("memory.held_bytes", 2048.0)
-        metrics.merge_snapshot(
-            {"timers": {"build": {"seconds": 1.25, "calls": 2}}}
-        )
-        metrics.observe("convergence.delta", 0.5)
+        # Sections of the removed timer and series kinds are ignored.
+        metrics.merge_snapshot({
+            "timers": {"build": {"seconds": 1.25, "calls": 2}},
+            "series": {"convergence.delta": [0.5]},
+        })
         metrics.observe_histogram("index.query_seconds", 0.004)
         metrics.observe_histogram("index.query_seconds", 0.008)
         snapshot = json.loads(json.dumps(metrics.snapshot(), sort_keys=True))
@@ -644,12 +635,14 @@ class TestRetrievalWiring:
             workload.queries_a,
             workload.queries_b,
             3,
-            metrics_sink=sink,
-            slow_queries=slow,
+            context=ExecutionContext(metrics=sink, slow_queries=slow),
         )
         assert record.outcome.value == "ok"
         snap = sink.snapshot()
         assert snap["counters"].get("gsim_plus.iterations", 0) > 0
+        assert snap["counters"]["sweep.cells"] == 1
+        # The cell's own record keeps only the cell's metrics.
+        assert "sweep.cells" not in record.metrics["counters"]
 
 
 # ----------------------------------------------------------------------
@@ -764,10 +757,12 @@ class TestCliTelemetry:
             "--slo", "rate(sweep.quarantined/sweep.cells) <= 1",
         ])
         assert code == 0
+        assert "never recorded" not in capsys.readouterr().err
         assert (out / "metrics.prom").exists()
         jsonl = (out / "metrics.jsonl").read_text().splitlines()
         final = json.loads(jsonl[-1])
         assert final["counters"].get("gsim_plus.iterations", 0) > 0
+        assert final["counters"]["sweep.cells"] == 1
 
 
 # ----------------------------------------------------------------------

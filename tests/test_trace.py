@@ -100,6 +100,15 @@ class TestTracer:
                 pass
         assert [s.name for s in tracer.spans()] == ["s2", "s3", "s4"]
         assert tracer.dropped_spans == 2
+        # Many times over the bound: the newest max_spans, in order.
+        tracer = Tracer(max_spans=100)
+        for index in range(300):
+            with tracer.span(f"s{index}"):
+                pass
+        assert [s.name for s in tracer.spans()] == [
+            f"s{index}" for index in range(200, 300)
+        ]
+        assert tracer.dropped_spans == 200
 
     def test_event_log_bounded_and_bound_to_spans(self):
         tracer = Tracer(max_events=2)
@@ -254,8 +263,7 @@ class TestHistograms:
             for step in range(per_thread):
                 metrics.increment("ops")
                 metrics.observe_histogram("lat", (seed + 1) * 1e-4)
-                if step % 50 == 0:
-                    metrics.add_time("t", 0.001)
+                metrics.record_max("peak", seed * per_thread + step)
 
         pool = [
             threading.Thread(target=worker, args=(index,))
@@ -269,7 +277,7 @@ class TestHistograms:
         hist = metrics.histogram("lat")
         assert hist["count"] == threads * per_thread
         assert sum(hist["buckets"].values()) == threads * per_thread
-        assert metrics.timer("t").calls == threads * (per_thread // 50)
+        assert metrics.gauge("peak") == threads * per_thread - 1
 
     def test_concurrent_merge_snapshot_exact(self):
         """Satellite: concurrent merge_snapshot folds are lossless."""
@@ -400,7 +408,7 @@ class TestTracedSweep:
             scale="tiny", iterations=3,
         )
         tracer = Tracer()
-        records = run_spec(spec, tracer=tracer)
+        records = run_spec(spec, context=ExecutionContext(tracer=tracer))
         assert records
         spans = tracer.spans()
         (root,) = [s for s in spans if s.name == "sweep.run"]
@@ -435,9 +443,10 @@ class TestTracedCli:
         names = {e["name"] for e in payload["traceEvents"] if e["ph"] == "X"}
         assert {"sweep.run", "sweep.cell", "gsim_plus.iterate"} <= names
         metrics = json.loads(metrics_path.read_text())
-        assert set(metrics) == {
-            "counters", "gauges", "histograms", "series", "timers"
-        }
+        assert set(metrics) == {"counters", "gauges", "histograms"}
+        assert metrics["counters"]["sweep.cells"] == len(
+            [e for e in payload["traceEvents"] if e["name"] == "sweep.cell"]
+        )
 
     def test_topk_trace_has_shard_spans(self, tmp_path, capsys):
         trace_path = tmp_path / "topk-trace.json"
