@@ -5,10 +5,13 @@ The expensive part of GSim+ is iterating the factor matrices ``U_K`` /
 This example shows the index workflow the paper's "retrieval" framing
 implies:
 
-1. build the factors for a scaled web-crawl dataset pair (once),
-2. persist them to an ``.npz`` index file,
-3. reload and serve three kinds of queries without touching the graphs:
-   arbitrary query blocks, global top-k pairs, and per-node rankings.
+1. build a :class:`repro.GSimIndex` for a scaled web-crawl dataset pair
+   (once),
+2. persist it to a checksummed ``.npz`` index file,
+3. reload it and serve three kinds of queries without touching the
+   graphs: arbitrary query blocks, global top-k pairs, and per-node
+   rankings.  Every score is an entry of the globally normalised
+   similarity matrix ``S_K = Z_K / ||Z_K||_F``.
 
 Run with::
 
@@ -21,25 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import (
-    GSimPlus,
-    load_factors,
-    save_factors,
-    top_k_for_queries,
-    top_k_pairs,
-)
+from repro import GSimIndex
 from repro.graphs import load_dataset_pair
-
-
-def build_index(graph_a, graph_b, iterations: int, path: Path) -> float:
-    """Iterate GSim+ and persist the final factors; returns build seconds."""
-    start = time.perf_counter()
-    solver = GSimPlus(graph_a, graph_b, rank_cap="qr-compress")
-    state = None
-    for state in solver.iterate(iterations):
-        pass
-    save_factors(state.factors, path)
-    return time.perf_counter() - start
 
 
 def main() -> None:
@@ -51,34 +37,33 @@ def main() -> None:
         index_path = Path(tmp) / "uk_gsim_index.npz"
 
         # --- 1+2: build and persist --------------------------------------
-        build_seconds = build_index(graph_a, graph_b, iterations=6, path=index_path)
+        start = time.perf_counter()
+        GSimIndex.build(graph_a, graph_b, iterations=6).save(index_path)
+        build_seconds = time.perf_counter() - start
         size_kib = index_path.stat().st_size / 1024
         print(f"\nindex built in {build_seconds * 1e3:.1f} ms, "
               f"{size_kib:.0f} KiB on disk")
 
-        # --- 3a: serve a query block from the loaded index ---------------
-        factors = load_factors(index_path)
-        start = time.perf_counter()
-        block = factors.query_block([5, 17, 99], [0, 1, 2, 3])
-        block /= np.linalg.norm(block)
-        query_ms = (time.perf_counter() - start) * 1e3
-        print(f"\n3x4 query block served in {query_ms:.2f} ms:")
-        print(np.array_str(block, precision=3, suppress_small=True))
+        index = GSimIndex.load(index_path)
+
+    # --- 3a: serve a query block from the loaded index -------------------
+    start = time.perf_counter()
+    block = index.query([5, 17, 99], [0, 1, 2, 3])
+    query_ms = (time.perf_counter() - start) * 1e3
+    print(f"\n3x4 query block (globally normalised), {query_ms:.2f} ms:")
+    print(np.array_str(block, precision=3, suppress_small=True))
 
     # --- 3b: global top-k pairs ------------------------------------------
-    best = top_k_pairs(graph_a, graph_b, k=5, iterations=6)
     print("\ntop-5 most similar cross-graph pairs:")
-    for pair in best:
+    for pair in index.top_pairs(k=5):
         print(f"  G_A node {pair.node_a:>5}  ~  G_B node {pair.node_b:>4}"
               f"   score {pair.score:.4f}")
 
     # --- 3c: per-node retrieval -------------------------------------------
-    queries = [0, 1, 2]
-    rankings = top_k_for_queries(graph_a, graph_b, queries, k=3, iterations=6)
     print("\nper-node retrieval (3 best matches each):")
-    for node in queries:
+    for node in [0, 1, 2]:
         matches = ", ".join(
-            f"{p.node_b} ({p.score:.4f})" for p in rankings[node]
+            f"{p.node_b} ({p.score:.4f})" for p in index.top_matches(node, k=3)
         )
         print(f"  G_A node {node}: {matches}")
 

@@ -16,8 +16,8 @@ Package map
 * :mod:`repro.baselines` — GSim, GSVD, RoleSim, NED, StructSim.
 * :mod:`repro.graphs` — graph substrate: representation, IO, generators,
   sampling, and the simulated dataset registry.
-* :mod:`repro.workloads` — query-set generation and sweeps.
-* :mod:`repro.analysis` — accuracy / ranking / spectral metrics.
+* :mod:`repro.workloads` — query-set generation.
+* :mod:`repro.analysis` — accuracy, alignment and spectral metrics.
 * :mod:`repro.runtime` — the execution-context layer: cooperative
   deadlines, live memory budgets, cancellation, and metrics shared by
   every compute loop above.

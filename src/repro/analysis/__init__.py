@@ -1,23 +1,13 @@
-"""Accuracy, ranking, and spectral analysis utilities."""
+"""Accuracy, alignment and spectral analysis utilities."""
 
-from repro.analysis.accuracy import (
-    frobenius_error,
-    max_absolute_error,
-    relative_frobenius_error,
-)
+from repro.analysis.accuracy import frobenius_error
 from repro.analysis.matching import Alignment, alignment_accuracy, best_alignment
-from repro.analysis.ranking import kendall_tau, top_k_overlap
-from repro.analysis.spectral import convergence_rate, dominant_eigenvalues
+from repro.analysis.spectral import convergence_rate
 
 __all__ = [
     "Alignment",
     "alignment_accuracy",
     "best_alignment",
     "convergence_rate",
-    "dominant_eigenvalues",
     "frobenius_error",
-    "kendall_tau",
-    "max_absolute_error",
-    "relative_frobenius_error",
-    "top_k_overlap",
 ]

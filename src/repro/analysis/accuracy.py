@@ -4,35 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["frobenius_error", "max_absolute_error", "relative_frobenius_error"]
-
-
-def _check_shapes(estimate: np.ndarray, reference: np.ndarray) -> None:
-    if estimate.shape != reference.shape:
-        raise ValueError(
-            f"shape mismatch: estimate {estimate.shape} vs reference {reference.shape}"
-        )
+__all__ = ["frobenius_error"]
 
 
 def frobenius_error(estimate: np.ndarray, reference: np.ndarray) -> float:
     """``||estimate - reference||_F`` — the paper's accuracy metric."""
-    _check_shapes(estimate, reference)
+    if estimate.shape != reference.shape:
+        raise ValueError(
+            f"shape mismatch: estimate {estimate.shape} vs reference {reference.shape}"
+        )
     return float(np.linalg.norm(estimate - reference))
-
-
-def relative_frobenius_error(estimate: np.ndarray, reference: np.ndarray) -> float:
-    """``||estimate - reference||_F / ||reference||_F`` (NaN-safe: raises on
-    a zero reference)."""
-    _check_shapes(estimate, reference)
-    denominator = float(np.linalg.norm(reference))
-    if denominator == 0.0:
-        raise ZeroDivisionError("reference matrix has zero norm")
-    return float(np.linalg.norm(estimate - reference)) / denominator
-
-
-def max_absolute_error(estimate: np.ndarray, reference: np.ndarray) -> float:
-    """Worst-case entry error ``max |estimate - reference|``."""
-    _check_shapes(estimate, reference)
-    if estimate.size == 0:
-        return 0.0
-    return float(np.abs(estimate - reference).max())

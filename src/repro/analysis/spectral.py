@@ -5,12 +5,7 @@ from __future__ import annotations
 from repro.core.error_bound import spectral_gap
 from repro.graphs.graph import Graph
 
-__all__ = ["convergence_rate", "dominant_eigenvalues"]
-
-
-def dominant_eigenvalues(graph_a: Graph, graph_b: Graph) -> tuple[float, float]:
-    """``(|λ1|, |λ2|)`` of the iteration matrix ``M`` for a graph pair."""
-    return spectral_gap(graph_a, graph_b)
+__all__ = ["convergence_rate"]
 
 
 def convergence_rate(graph_a: Graph, graph_b: Graph) -> float:

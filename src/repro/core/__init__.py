@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`repro.core.embeddings.LowRankFactors` — exact outer-product
-  representation ``Z = s * U @ V.T`` with factored norm/inner-product
-  algebra.
+  representation ``Z = s * U @ V.T`` with its factored norm, query
+  blocks and recompression.
 * :func:`repro.core.gsim_plus.gsim_plus` — Algorithm 1 from the paper.
 * :class:`repro.core.gsim_plus.GSimPlus` — reusable solver object exposing
   per-iteration state (used by the convergence and accuracy experiments).
@@ -22,7 +22,6 @@ from repro.core.error_bound import (
     spectral_gap,
 )
 from repro.core.gsim_plus import GSimPlus, GSimPlusResult, gsim_plus
-from repro.core.serialization import load_factors, save_factors
 from repro.core.topk import ScoredPair, top_k_for_queries, top_k_pairs
 
 __all__ = [
@@ -39,9 +38,7 @@ __all__ = [
     "gsim_plus",
     "iterate_to_convergence",
     "kronecker_similarity_matrix",
-    "load_factors",
     "predict_cost",
-    "save_factors",
     "spectral_gap",
     "top_k_for_queries",
     "top_k_pairs",

@@ -15,9 +15,9 @@ First-class representation
 --------------------------
 :class:`LowRankFactors` is the object every layer of the system holds,
 persists, or scans — the solver iterates it, checkpoints snapshot it, the
-serialization/index artifacts round-trip it, and the batch/top-k kernels
-scan it.  Two policies are therefore explicit attributes rather than
-implicit array properties:
+index artifact round-trips it, and the batch/top-k kernels scan it.
+Two policies are therefore explicit attributes rather than implicit
+array properties:
 
 * **Precision** — the factor dtype is restricted to ``float64`` (exact
   default) or ``float32`` (opt-in fast path: half the memory bandwidth on
@@ -35,9 +35,10 @@ implicit array properties:
 
 Everything that can be computed without materialising ``U @ V.T`` is: the
 Frobenius norm uses the Gram-trick
-``||U V^T||_F^2 = sum((U^T U) * (V^T V))`` and inner products between two
-factored matrices use ``<U1 V1^T, U2 V2^T> = sum((U1^T U2) * (V1^T V2))``,
-both ``O((n_A + n_B) w^2)`` instead of ``O(n_A n_B w)``.
+``||U V^T||_F^2 = sum((U^T U) * (V^T V))`` and the convergence test's
+distance between two factored matrices uses
+``<U1 V1^T, U2 V2^T> = sum((U1^T U2) * (V1^T V2))``, both
+``O((n_A + n_B) w^2)`` instead of ``O(n_A n_B w)``.
 """
 
 from __future__ import annotations
@@ -333,18 +334,6 @@ class LowRankFactors:
         if include_scale and self.log_scale != 0.0:
             norm *= math.exp(self.log_scale)
         return norm
-
-    def inner_product(self, other: "LowRankFactors") -> float:
-        """Frobenius inner product ``<Z_self, Z_other>`` in factored form."""
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        cross_u = self.u.T @ other.u
-        cross_v = self.v.T @ other.v
-        value = float(np.sum(cross_u * cross_v))
-        total_log = self.log_scale + other.log_scale
-        if total_log != 0.0:
-            value *= math.exp(total_log)
-        return value
 
     def normalized_distance(self, other: "LowRankFactors") -> float:
         """``|| self/||self|| - other/||other|| ||_F`` without materialising.

@@ -49,7 +49,7 @@ from repro.dynamic.lifecycle.policy import (
     check_policy,
 )
 from repro.retrieval.index import GSimIndex
-from repro.runtime import ExecutionContext, RetryPolicy
+from repro.runtime import ExecutionContext, Metrics, RetryPolicy
 from repro.runtime.budget import WallClockDeadline
 from repro.runtime.errors import IndexUnavailableError
 from repro.runtime.resilience import CheckpointManager
@@ -505,19 +505,41 @@ class IndexGenerationManager:
             # could fingerprint-match on same-shaped graphs): drop them.
             self._checkpoints.clear()
             self._ckpt_target = target
-        attempt_context = ExecutionContext(
-            deadline=(
-                WallClockDeadline(self._rebuild_deadline)
-                if self._rebuild_deadline is not None
-                else None
-            ),
-            memory=self._context.memory,
-            cancellation=self._context.cancellation,
-            metrics=self._context.metrics,
-            fault_injector=self._rebuild_fault_injector,
-            tracer=self._context.tracer,
-            slow_queries=self._context.slow_queries,
+        deadline = (
+            WallClockDeadline(self._rebuild_deadline)
+            if self._rebuild_deadline is not None
+            else None
         )
+
+        def attempt() -> GSimIndex:
+            # Each attempt records into its own Metrics, so the index's
+            # build_metrics describe that build alone; the session's
+            # metrics still count every attempt, failed or not.
+            metrics = Metrics()
+            try:
+                return GSimIndex.build(
+                    snap_a,
+                    snap_b,
+                    iterations=self.iterations,
+                    context=ExecutionContext(
+                        deadline=deadline,
+                        memory=self._context.memory,
+                        cancellation=self._context.cancellation,
+                        metrics=metrics,
+                        fault_injector=self._rebuild_fault_injector,
+                        tracer=self._context.tracer,
+                        slow_queries=self._context.slow_queries,
+                    ),
+                    checkpoints=self._checkpoints,
+                    checkpoint_every=self._checkpoint_every,
+                    resume_from=self._checkpoints,
+                    recompress_tol=self._recompress_tol,
+                    precision=self._precision,
+                    max_workers=self._max_workers,
+                )
+            finally:
+                self._context.metrics.merge_snapshot(metrics.snapshot())
+
         with self._context.operation(
             "lifecycle.rebuild",
             target_versions=str(target),
@@ -526,17 +548,7 @@ class IndexGenerationManager:
         ) as operation:
             start = time.perf_counter()
             index = self._retry_policy.call(
-                GSimIndex.build,
-                snap_a,
-                snap_b,
-                iterations=self.iterations,
-                context=attempt_context,
-                checkpoints=self._checkpoints,
-                checkpoint_every=self._checkpoint_every,
-                resume_from=self._checkpoints,
-                recompress_tol=self._recompress_tol,
-                precision=self._precision,
-                max_workers=self._max_workers,
+                attempt,
                 what="index generation rebuild",
                 on_retry=self._note_retry,
             )

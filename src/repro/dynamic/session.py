@@ -272,7 +272,9 @@ class SimilaritySession:
         pre_ordinal = self._manager.live_ordinal
         with self._manager.lease(policy) as lease:
             self._note_query(lease, pre_ordinal)
-            matches = lease.index.top_matches(node_a, k=k)
+            matches = lease.index.top_matches(
+                node_a, k=k, context=self._context
+            )
             return [(match.node_b, match.score) for match in matches]
 
     # ------------------------------------------------------------------

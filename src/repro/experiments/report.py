@@ -29,10 +29,11 @@ def render_table(
 ) -> str:
     """Render an aligned monospace table.
 
-    >>> print(render_table(["a", "b"], [["1", "22"]]))
-    a | b
-    --+---
-    1 | 22
+    >>> print(render_table(["k", "time"], [["2", "12ms"], ["10", "35ms"]]))
+    k  | time
+    ---+-----
+    2  | 12ms
+    10 | 35ms
     """
     materialised = [list(map(str, row)) for row in rows]
     widths = [len(h) for h in headers]

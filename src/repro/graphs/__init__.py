@@ -5,12 +5,7 @@ operate on :class:`repro.graphs.Graph`, an immutable directed graph backed
 by a ``scipy.sparse.csr_matrix`` adjacency.
 """
 
-from repro.graphs.algorithms import (
-    degree_statistics,
-    largest_weakly_connected_subgraph,
-    strongly_connected_components,
-    weakly_connected_components,
-)
+from repro.graphs.algorithms import degree_statistics
 from repro.graphs.datasets import DATASETS, DatasetSpec, load_dataset, load_dataset_pair
 from repro.graphs.generators import (
     barabasi_albert_graph,
@@ -18,7 +13,6 @@ from repro.graphs.generators import (
     directed_block_graph,
     erdos_renyi_graph,
     rmat_graph,
-    stochastic_block_graph,
 )
 from repro.graphs.graph import Graph
 from repro.graphs.io import (
@@ -31,7 +25,6 @@ from repro.graphs.sampling import (
     forest_fire_sample,
     random_node_sample,
 )
-from repro.graphs.interop import from_networkx, to_networkx
 from repro.graphs.mmap_csr import MmapCSRGraph, convert_edge_list
 
 __all__ = [
@@ -47,17 +40,11 @@ __all__ = [
     "directed_block_graph",
     "erdos_renyi_graph",
     "forest_fire_sample",
-    "from_networkx",
-    "largest_weakly_connected_subgraph",
     "load_dataset",
     "load_dataset_pair",
     "random_node_sample",
     "read_edge_list",
     "read_edge_list_text",
     "rmat_graph",
-    "stochastic_block_graph",
-    "strongly_connected_components",
-    "to_networkx",
-    "weakly_connected_components",
     "write_edge_list",
 ]

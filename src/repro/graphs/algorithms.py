@@ -1,9 +1,6 @@
-"""Classic graph algorithms the substrate and examples rely on.
+"""Degree statistics over :class:`repro.graphs.Graph`.
 
-Pure-Python/NumPy implementations over :class:`repro.graphs.Graph` —
-weak/strong connectivity, component extraction, and degree statistics.
-The samplers use connectivity to pick meaningful ``G_B`` regions, and the
-dataset registry's documentation quotes the statistics.
+The CLI's ``datasets`` command prints them for each registered dataset.
 """
 
 from __future__ import annotations
@@ -14,104 +11,7 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 
-__all__ = [
-    "DegreeStatistics",
-    "degree_statistics",
-    "largest_weakly_connected_subgraph",
-    "strongly_connected_components",
-    "weakly_connected_components",
-]
-
-
-def weakly_connected_components(graph: Graph) -> list[np.ndarray]:
-    """Node sets of the weakly connected components, largest first.
-
-    Iterative BFS over the symmetrised adjacency; ties between equal-size
-    components break by smallest contained node id for determinism.
-    """
-    n = graph.num_nodes
-    seen = np.zeros(n, dtype=bool)
-    components: list[np.ndarray] = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        frontier = [root]
-        members = [root]
-        while frontier:
-            node = frontier.pop()
-            for neighbour in graph.neighbors(node):
-                if not seen[neighbour]:
-                    seen[neighbour] = True
-                    frontier.append(int(neighbour))
-                    members.append(int(neighbour))
-        components.append(np.array(sorted(members), dtype=np.int64))
-    components.sort(key=lambda c: (-c.size, int(c[0]) if c.size else 0))
-    return components
-
-
-def strongly_connected_components(graph: Graph) -> list[np.ndarray]:
-    """Node sets of the strongly connected components, largest first.
-
-    Iterative Tarjan (explicit stack, no recursion) so web-scale chains do
-    not hit Python's recursion limit.
-    """
-    n = graph.num_nodes
-    index_counter = 0
-    indices = np.full(n, -1, dtype=np.int64)
-    lowlinks = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    stack: list[int] = []
-    components: list[np.ndarray] = []
-
-    for root in range(n):
-        if indices[root] != -1:
-            continue
-        # Each work item is (node, iterator position over successors).
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, child_position = work.pop()
-            if child_position == 0:
-                indices[node] = index_counter
-                lowlinks[node] = index_counter
-                index_counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            successors = graph.successors(node)
-            recursed = False
-            for position in range(child_position, len(successors)):
-                child = int(successors[position])
-                if indices[child] == -1:
-                    work.append((node, position + 1))
-                    work.append((child, 0))
-                    recursed = True
-                    break
-                if on_stack[child]:
-                    lowlinks[node] = min(lowlinks[node], indices[child])
-            if recursed:
-                continue
-            if lowlinks[node] == indices[node]:
-                members = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    members.append(member)
-                    if member == node:
-                        break
-                components.append(np.array(sorted(members), dtype=np.int64))
-            if work:
-                parent = work[-1][0]
-                lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
-    components.sort(key=lambda c: (-c.size, int(c[0]) if c.size else 0))
-    return components
-
-
-def largest_weakly_connected_subgraph(graph: Graph) -> Graph:
-    """The induced subgraph on the largest weakly connected component."""
-    components = weakly_connected_components(graph)
-    if not components:
-        return graph
-    return graph.subgraph(components[0], name=f"{graph.name}-wcc")
+__all__ = ["DegreeStatistics", "degree_statistics"]
 
 
 @dataclass(frozen=True)

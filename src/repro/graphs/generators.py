@@ -12,8 +12,8 @@ These provide the scaled-down stand-ins for the paper's real datasets (see
   uk-2002 / it-2004.
 * :func:`chung_lu_graph` — expected-degree model fitting an arbitrary
   power-law exponent (used for email/communication graph stand-ins).
-* :func:`stochastic_block_graph` — planted communities, used by the
-  social-media-alignment example.
+* :func:`directed_block_graph` — planted blocks with directional roles,
+  used by the social-media-alignment example.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "directed_block_graph",
     "erdos_renyi_graph",
     "rmat_graph",
-    "stochastic_block_graph",
 ]
 
 
@@ -257,45 +256,6 @@ def power_law_degrees(
     return raw * (average_degree / raw.mean())
 
 
-def stochastic_block_graph(
-    block_sizes: list[int],
-    p_in: float | list[float],
-    p_out: float,
-    seed: SeedLike = None,
-    name: str = "sbm",
-) -> Graph:
-    """Directed stochastic block model with planted communities.
-
-    Edge ``i -> j`` exists with probability ``p_in`` when the endpoints
-    share a block and ``p_out`` otherwise.  ``p_in`` may be a single
-    probability or one per block, letting communities differ in density
-    (useful when the communities' *roles* should be distinguishable, as in
-    the social-media-alignment example).  Self loops are excluded.
-    """
-    if not block_sizes:
-        raise ValueError("block_sizes must be non-empty")
-    sizes = [check_positive_integer(s, "block size") for s in block_sizes]
-    if isinstance(p_in, (list, tuple)):
-        if len(p_in) != len(sizes):
-            raise ValueError(
-                f"p_in has {len(p_in)} entries for {len(sizes)} blocks"
-            )
-        p_in_per_block = [check_probability(p, "p_in") for p in p_in]
-    else:
-        p_in_per_block = [check_probability(p_in, "p_in")] * len(sizes)
-    p_out = check_probability(p_out, "p_out")
-    rng = ensure_rng(seed)
-    num_nodes = sum(sizes)
-    membership = np.repeat(np.arange(len(sizes)), sizes)
-    same_block = membership[:, None] == membership[None, :]
-    in_probability = np.asarray(p_in_per_block)[membership][:, None]
-    prob = np.where(same_block, in_probability, p_out)
-    np.fill_diagonal(prob, 0.0)
-    mask = rng.random((num_nodes, num_nodes)) < prob
-    rows, cols = np.nonzero(mask)
-    return Graph.from_edges(num_nodes, np.column_stack((rows, cols)), name=name)
-
-
 def directed_block_graph(
     block_sizes: list[int],
     block_matrix: np.ndarray | list[list[float]],
@@ -305,11 +265,11 @@ def directed_block_graph(
     """Directed block model with an arbitrary block-to-block edge matrix.
 
     ``block_matrix[r][c]`` is the probability of an edge from a node in
-    block ``r`` to a node in block ``c``.  Unlike
-    :func:`stochastic_block_graph`, the matrix need not be symmetric, so
-    blocks can play *directional* roles (broadcasters, receivers, mixers) —
-    the structure GSim's ``A``/``A^T`` recursion distinguishes and the
-    social-media-alignment example relies on.  Self loops are excluded.
+    block ``r`` to a node in block ``c``.  The matrix need not be
+    symmetric, so blocks can play *directional* roles (broadcasters,
+    receivers, mixers) — the structure GSim's ``A``/``A^T`` recursion
+    distinguishes and the social-media-alignment example relies on.  Self
+    loops are excluded.
     """
     if not block_sizes:
         raise ValueError("block_sizes must be non-empty")

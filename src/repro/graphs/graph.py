@@ -43,7 +43,7 @@ class Graph:
     >>> g = Graph.from_edges(3, [(0, 1), (1, 2)])
     >>> g.num_nodes, g.num_edges
     (3, 2)
-    >>> sorted(g.successors(0))
+    >>> g.successors(0).tolist()
     [1]
     """
 

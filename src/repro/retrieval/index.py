@@ -1,11 +1,10 @@
 """The GSimIndex: build once, persist, and serve retrievals.
 
 Wraps the lower-level pieces (:class:`repro.core.gsim_plus.GSimPlus`,
-:class:`repro.core.embeddings.LowRankFactors`,
-:mod:`repro.core.serialization`, :mod:`repro.core.topk`) behind one
-object with a stable on-disk format that records how the index was built
-(iteration count, graph sizes, library version), so a served score can
-always be traced back to its construction parameters.
+:class:`repro.core.embeddings.LowRankFactors`, :mod:`repro.core.topk`)
+behind one object with a stable on-disk format that records how the
+index was built (iteration count, graph sizes, library version), so a
+served score can always be traced back to its construction parameters.
 """
 
 from __future__ import annotations

@@ -130,7 +130,7 @@ class CorruptArtifactError(RuntimeError):
     """A persisted artifact failed its integrity check on load.
 
     Raised instead of returning silently-garbled factors when a saved
-    ``.npz`` (factors, index, checkpoint) is truncated, bit-flipped, or
+    ``.npz`` (index, checkpoint) is truncated, bit-flipped, or
     otherwise fails checksum verification.  The documented fallback is to
     rebuild the artifact from its source graphs (``gsim_plus`` /
     ``GSimIndex.build``) — the message names it so operators see the

@@ -67,7 +67,7 @@ def shard_ranges(total: int, num_shards: int) -> list[tuple[int, int]]:
     Examples
     --------
     >>> shard_ranges(10, 3)
-    [(0, 4), (4, 7), (7, 10)]
+    [(0, 3), (3, 6), (6, 10)]
     >>> shard_ranges(2, 4)
     [(0, 1), (1, 2)]
     """

@@ -18,8 +18,8 @@ from total losses into bounded ones:
   checkpoint *n* (or with a seeded probability) and assert recovery.
 
 All three are deliberately dependency-free above :mod:`repro.runtime`:
-the core solver, the experiment harness, and the serialization layer all
-build on them.
+the core solver, the experiment harness, the index and the mmap-CSR
+graphs all build on them.
 """
 
 from __future__ import annotations

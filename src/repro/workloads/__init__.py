@@ -1,4 +1,4 @@
-"""Query workload construction and parameter sweeps for the experiments."""
+"""Query workload construction for the experiments."""
 
 from repro.workloads.queries import (
     QueryWorkload,
@@ -6,13 +6,10 @@ from repro.workloads.queries import (
     make_workload,
     uniform_queries,
 )
-from repro.workloads.sweeps import geometric_sweep, linear_sweep
 
 __all__ = [
     "QueryWorkload",
     "degree_biased_queries",
-    "geometric_sweep",
-    "linear_sweep",
     "make_workload",
     "uniform_queries",
 ]

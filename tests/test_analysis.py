@@ -1,15 +1,9 @@
-"""Unit tests for repro.analysis (accuracy + ranking metrics)."""
+"""Unit tests for repro.analysis accuracy metrics."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    frobenius_error,
-    kendall_tau,
-    max_absolute_error,
-    relative_frobenius_error,
-    top_k_overlap,
-)
+from repro.analysis import frobenius_error
 
 
 class TestAccuracyMetrics:
@@ -25,84 +19,3 @@ class TestAccuracyMetrics:
     def test_frobenius_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             frobenius_error(np.ones((2, 2)), np.ones((3, 3)))
-
-    def test_relative_error(self):
-        reference = np.array([[3.0, 4.0]])
-        estimate = np.array([[3.0, 4.0]]) * 1.1
-        assert relative_frobenius_error(estimate, reference) == pytest.approx(0.1)
-
-    def test_relative_error_zero_reference(self):
-        with pytest.raises(ZeroDivisionError):
-            relative_frobenius_error(np.ones((2, 2)), np.zeros((2, 2)))
-
-    def test_max_absolute_error(self):
-        a = np.array([[1.0, 2.0]])
-        b = np.array([[1.5, 1.0]])
-        assert max_absolute_error(a, b) == pytest.approx(1.0)
-
-    def test_max_absolute_error_empty(self):
-        assert max_absolute_error(np.empty((0, 3)), np.empty((0, 3))) == 0.0
-
-
-class TestTopKOverlap:
-    def test_identical_rankings(self):
-        scores = np.array([5.0, 4.0, 3.0, 2.0])
-        assert top_k_overlap(scores, scores, 2) == 1.0
-
-    def test_disjoint_top_sets(self):
-        a = np.array([10.0, 9.0, 0.0, 0.0])
-        b = np.array([0.0, 0.0, 9.0, 10.0])
-        assert top_k_overlap(a, b, 2) == 0.0
-
-    def test_partial_overlap(self):
-        a = np.array([10.0, 9.0, 1.0, 0.0])
-        b = np.array([10.0, 0.0, 9.0, 1.0])
-        assert top_k_overlap(a, b, 2) == 0.5
-
-    def test_matrices_flattened(self):
-        a = np.array([[3.0, 2.0], [1.0, 0.0]])
-        assert top_k_overlap(a, a, 3) == 1.0
-
-    def test_k_validated(self):
-        scores = np.ones(3)
-        with pytest.raises(ValueError):
-            top_k_overlap(scores, scores, 0)
-        with pytest.raises(ValueError):
-            top_k_overlap(scores, scores, 4)
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            top_k_overlap(np.ones(3), np.ones(4), 2)
-
-
-class TestKendallTau:
-    def test_identical_order(self):
-        scores = np.array([1.0, 2.0, 3.0, 4.0])
-        assert kendall_tau(scores, scores) == pytest.approx(1.0)
-
-    def test_reversed_order(self):
-        a = np.array([1.0, 2.0, 3.0, 4.0])
-        assert kendall_tau(a, a[::-1]) == pytest.approx(-1.0)
-
-    def test_single_swap(self):
-        a = np.array([1.0, 2.0, 3.0, 4.0])
-        b = np.array([2.0, 1.0, 3.0, 4.0])
-        # One inversion among 6 pairs: tau = 1 - 2/6.
-        assert kendall_tau(a, b) == pytest.approx(1.0 - 2.0 / 6.0)
-
-    def test_matches_scipy(self, rng):
-        from scipy.stats import kendalltau as scipy_tau
-
-        a = rng.standard_normal(50)
-        b = rng.standard_normal(50)
-        ours = kendall_tau(a, b)
-        theirs = scipy_tau(a, b).statistic
-        assert ours == pytest.approx(theirs, abs=1e-10)
-
-    def test_needs_two_entries(self):
-        with pytest.raises(ValueError, match="two entries"):
-            kendall_tau(np.array([1.0]), np.array([1.0]))
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            kendall_tau(np.ones(3), np.ones(4))

@@ -61,18 +61,6 @@ class TestFactoredAlgebra:
             np.linalg.norm(f.u @ f.v.T)
         )
 
-    def test_inner_product_matches_dense(self, rng):
-        f = random_factors(rng)
-        g = random_factors(rng)
-        expected = float(np.sum(f.materialize() * g.materialize()))
-        assert f.inner_product(g) == pytest.approx(expected)
-
-    def test_inner_product_shape_checked(self, rng):
-        f = random_factors(rng, n=4)
-        g = random_factors(rng, n=5)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            f.inner_product(g)
-
     def test_normalized_distance_matches_dense(self, rng):
         f = random_factors(rng)
         g = random_factors(rng)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Graph, error_bound, gsim_plus
-from repro.analysis import convergence_rate, dominant_eigenvalues, frobenius_error
+from repro.analysis import convergence_rate, frobenius_error
 from repro.core import (
     exact_similarity_spectral,
     kronecker_similarity_matrix,
@@ -45,9 +45,6 @@ class TestSpectralGap:
     def test_convergence_rate_in_unit_interval(self, tiny_pair):
         rate = convergence_rate(*tiny_pair)
         assert 0.0 <= rate <= 1.0
-
-    def test_dominant_eigenvalues_alias(self, tiny_pair):
-        assert dominant_eigenvalues(*tiny_pair) == spectral_gap(*tiny_pair)
 
     def test_edgeless_graph_rate_raises(self):
         a = Graph.empty(2)

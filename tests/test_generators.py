@@ -8,7 +8,6 @@ from repro.graphs import (
     chung_lu_graph,
     erdos_renyi_graph,
     rmat_graph,
-    stochastic_block_graph,
 )
 from repro.graphs.generators import _dedupe_edges, power_law_degrees
 
@@ -141,35 +140,6 @@ class TestPowerLawDegrees:
             power_law_degrees(10, 0.0)
 
 
-class TestStochasticBlock:
-    def test_total_nodes(self):
-        g = stochastic_block_graph([10, 20], p_in=0.3, p_out=0.01, seed=0)
-        assert g.num_nodes == 30
-
-    def test_communities_denser_inside(self):
-        g = stochastic_block_graph([40, 40], p_in=0.4, p_out=0.02, seed=1)
-        adjacency = g.adjacency.toarray()
-        inside = adjacency[:40, :40].sum() + adjacency[40:, 40:].sum()
-        across = adjacency[:40, 40:].sum() + adjacency[40:, :40].sum()
-        assert inside > 3 * across
-
-    def test_no_self_loops(self):
-        g = stochastic_block_graph([15], p_in=1.0, p_out=0.0, seed=0)
-        assert all(s != d for s, d, _ in g.edges())
-
-    def test_p_in_one_gives_complete_blocks(self):
-        g = stochastic_block_graph([5], p_in=1.0, p_out=0.0, seed=0)
-        assert g.num_edges == 5 * 4
-
-    def test_rejects_empty_blocks(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            stochastic_block_graph([], 0.5, 0.1)
-
-    def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            stochastic_block_graph([5], p_in=1.5, p_out=0.0)
-
-
 class TestDirectedBlockGraph:
     def test_block_roles_respected(self):
         from repro.graphs.generators import directed_block_graph
@@ -210,21 +180,6 @@ class TestDirectedBlockGraph:
 
         with pytest.raises(ValueError, match="non-empty"):
             directed_block_graph([], [])
-
-
-class TestPerBlockDensities:
-    def test_per_block_p_in(self):
-        g = stochastic_block_graph(
-            [20, 20], p_in=[0.8, 0.05], p_out=0.0, seed=0
-        )
-        adjacency = g.adjacency.toarray()
-        dense_block = adjacency[:20, :20].sum()
-        sparse_block = adjacency[20:, 20:].sum()
-        assert dense_block > 4 * max(sparse_block, 1)
-
-    def test_p_in_length_validated(self):
-        with pytest.raises(ValueError, match="entries for"):
-            stochastic_block_graph([5, 5], p_in=[0.5], p_out=0.0)
 
 
 class TestDedupeEdges:

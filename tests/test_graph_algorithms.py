@@ -1,105 +1,8 @@
 """Unit tests for repro.graphs.algorithms."""
 
-import numpy as np
 import pytest
 
-from repro.graphs import (
-    Graph,
-    degree_statistics,
-    erdos_renyi_graph,
-    largest_weakly_connected_subgraph,
-    strongly_connected_components,
-    weakly_connected_components,
-)
-
-
-class TestWeaklyConnected:
-    def test_single_component(self, cycle_graph):
-        components = weakly_connected_components(cycle_graph)
-        assert len(components) == 1
-        assert components[0].size == 5
-
-    def test_two_components(self):
-        g = Graph.from_edges(5, [(0, 1), (2, 3)])
-        components = weakly_connected_components(g)
-        sizes = [c.size for c in components]
-        assert sizes == [2, 2, 1]
-
-    def test_direction_ignored(self):
-        g = Graph.from_edges(3, [(1, 0), (1, 2)])  # only out-edges from 1
-        components = weakly_connected_components(g)
-        assert len(components) == 1
-
-    def test_isolated_nodes_singletons(self):
-        components = weakly_connected_components(Graph.empty(4))
-        assert len(components) == 4
-        assert all(c.size == 1 for c in components)
-
-    def test_largest_first_ordering(self):
-        g = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4)])
-        components = weakly_connected_components(g)
-        assert [c.size for c in components] == [3, 2, 1]
-
-    def test_partition(self, random_pair):
-        graph, _ = random_pair
-        components = weakly_connected_components(graph)
-        union = np.concatenate(components)
-        assert np.array_equal(np.sort(union), np.arange(graph.num_nodes))
-
-
-class TestStronglyConnected:
-    def test_cycle_is_one_scc(self, cycle_graph):
-        components = strongly_connected_components(cycle_graph)
-        assert len(components) == 1
-        assert components[0].size == 5
-
-    def test_path_is_singletons(self, path_graph):
-        components = strongly_connected_components(path_graph)
-        assert len(components) == 4
-        assert all(c.size == 1 for c in components)
-
-    def test_two_cycles_with_bridge(self):
-        g = Graph.from_edges(
-            6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]
-        )
-        components = strongly_connected_components(g)
-        sizes = sorted(c.size for c in components)
-        assert sizes == [3, 3]
-
-    def test_deep_chain_no_recursion_error(self):
-        # 5000-node cycle: recursive Tarjan would blow the stack.
-        n = 5000
-        g = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-        components = strongly_connected_components(g)
-        assert len(components) == 1
-        assert components[0].size == n
-
-    def test_partition(self, random_pair):
-        graph, _ = random_pair
-        components = strongly_connected_components(graph)
-        union = np.concatenate(components)
-        assert np.array_equal(np.sort(union), np.arange(graph.num_nodes))
-
-    def test_matches_networkx(self):
-        import networkx as nx
-
-        graph = erdos_renyi_graph(40, 120, seed=5)
-        ours = {frozenset(c.tolist()) for c in strongly_connected_components(graph)}
-        nx_graph = nx.DiGraph([(s, d) for s, d, _ in graph.edges()])
-        nx_graph.add_nodes_from(range(graph.num_nodes))
-        theirs = {frozenset(c) for c in nx.strongly_connected_components(nx_graph)}
-        assert ours == theirs
-
-
-class TestLargestComponent:
-    def test_extracts_largest(self):
-        g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
-        sub = largest_weakly_connected_subgraph(g)
-        assert sub.num_nodes == 3
-
-    def test_connected_graph_unchanged_size(self, cycle_graph):
-        sub = largest_weakly_connected_subgraph(cycle_graph)
-        assert sub.num_nodes == cycle_graph.num_nodes
+from repro.graphs import Graph, degree_statistics, erdos_renyi_graph
 
 
 class TestDegreeStatistics:

@@ -1,12 +1,41 @@
-"""Unit tests for HITS, including the GSim -> HITS reduction from
-Blondel et al. (the construction the paper's Related Work references)."""
+"""The GSim -> HITS reduction from Blondel et al. (the construction the
+paper's Related Work references), checked against a local HITS oracle."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro import Graph, gsim_plus
 from repro.graphs import erdos_renyi_graph
-from repro.models import hits
+
+
+@dataclass(frozen=True)
+class HITSResult:
+    """Hub and authority score vectors (each 2-norm normalised)."""
+
+    hubs: np.ndarray
+    authorities: np.ndarray
+
+
+def hits(graph: Graph, iterations: int = 50) -> HITSResult:
+    """Kleinberg's HITS power iteration: ``a <- A^T h``, ``h <- A a``,
+    each normalised; all zeros once no edge feeds an authority or hub."""
+    n = graph.num_nodes
+    hubs = np.ones(n) / np.sqrt(max(n, 1))
+    authorities = hubs.copy()
+    for _ in range(iterations):
+        authorities = graph.adjacency_t @ hubs
+        norm = np.linalg.norm(authorities)
+        if norm == 0.0:
+            return HITSResult(hubs=np.zeros(n), authorities=np.zeros(n))
+        authorities /= norm
+        hubs = graph.adjacency @ authorities
+        norm = np.linalg.norm(hubs)
+        if norm == 0.0:
+            return HITSResult(hubs=np.zeros(n), authorities=np.zeros(n))
+        hubs /= norm
+    return HITSResult(hubs=hubs, authorities=authorities)
 
 
 class TestHITS:

@@ -1067,10 +1067,18 @@ class TestSessionLifecycle:
             for _ in range(10):
                 session.refresh()
             assert build_metric_names() == settled
+            live = session.lifecycle.live_generation
+            built = live.index.metadata.build_metrics
             snapshot = session.context.snapshot()
         assert set(snapshot) == {"counters", "gauges", "histograms"}
         assert snapshot["histograms"]["session.refresh_seconds"]["count"] == 14
         assert snapshot["counters"]["session.refresh.requests"] == 14
+        # A generation's build_metrics describe its own build; the
+        # session's metrics count all 14.
+        assert built["counters"]["index.build.requests"] == 1
+        assert built["counters"]["gsim_plus.iterations"] == ITERATIONS
+        assert snapshot["counters"]["index.build.requests"] == 14
+        assert snapshot["counters"]["gsim_plus.iterations"] == 14 * ITERATIONS
 
     def test_top_matches_and_normalizations_still_work(self):
         graph_a, graph_b = _dynamic_pair()
@@ -1078,6 +1086,15 @@ class TestSessionLifecycle:
             graph_a, graph_b, iterations=ITERATIONS
         ) as session:
             matches = session.top_matches(0, k=3)
+            # A session serving only matches still observes them.
+            snapshot = session.context.snapshot()
+            assert snapshot["counters"]["index.top_matches.requests"] == 1
+            histograms = snapshot["histograms"]
+            assert histograms["index.top_matches_seconds"]["count"] == 1
+            assert "index.query.requests" not in snapshot["counters"]
+            with session.lifecycle.lease("block") as lease:
+                expected = lease.index.top_matches(0, k=3)
+            assert matches == [(m.node_b, m.score) for m in expected]
             assert len(matches) == 3
             assert all(isinstance(node, int) for node, _ in matches)
             scores = [score for _, score in matches]

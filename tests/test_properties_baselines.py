@@ -1,9 +1,9 @@
 """Property-based tests on the baseline models' invariants.
 
 Where :mod:`tests.test_properties` hammers the core GSim+ claims, this
-module pins down the mathematical contracts of the baselines and related
-models over hypothesis-generated graphs: value ranges, symmetries, and
-degeneracy behaviour.
+module pins down the mathematical contracts of the baselines over
+hypothesis-generated graphs: value ranges, symmetries, and degeneracy
+behaviour.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro import Graph
 from repro.baselines import ned_query, rolesim, structsim_query
 from repro.baselines.gsvd import gsvd
-from repro.models import cosimrank, hits, simrank
 
 _settings = settings(
     max_examples=20,
@@ -122,29 +121,3 @@ class TestGSVDProperties:
         assert np.linalg.norm(result.sigma) == 1.0 or np.isclose(
             np.linalg.norm(result.sigma), 1.0
         )
-
-
-class TestRelatedModelProperties:
-    @_settings
-    @given(g=small_graphs())
-    def test_simrank_contract(self, g):
-        sim = simrank(g, iterations=3)
-        np.testing.assert_array_equal(np.diag(sim), 1.0)
-        assert (sim >= -1e-12).all() and (sim <= 1.0 + 1e-12).all()
-        np.testing.assert_allclose(sim, sim.T, atol=1e-12)
-
-    @_settings
-    @given(g=small_graphs())
-    def test_cosimrank_diagonal_dominant(self, g):
-        sim = cosimrank(g, iterations=3)
-        # s(a, a) >= s(a, b): identical walks maximise every inner product.
-        for a in range(g.num_nodes):
-            assert sim[a, a] >= sim[a].max() - 1e-9
-
-    @_settings
-    @given(g=small_graphs())
-    def test_hits_normalised_or_zero(self, g):
-        result = hits(g, iterations=30)
-        for vector in (result.hubs, result.authorities):
-            norm = np.linalg.norm(vector)
-            assert np.isclose(norm, 1.0) or norm == 0.0

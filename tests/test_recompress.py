@@ -9,8 +9,8 @@ Covers the first-class ``LowRankFactors`` representation end to end:
 * width bounded by numerical rank instead of the ``2^k`` doubling
   schedule on the bench graphs,
 * recompressed-vs-exact error staying under the Theorem 4.2 bound,
-* dtype + truncation metadata round-tripping through serialization and
-  ``GSimIndex`` (with the v2 float64 compatibility path),
+* dtype + truncation metadata round-tripping through ``GSimIndex``
+  (with the pre-v3 float64 compatibility path),
 * memory-ledger charging and metrics for recompression steps.
 """
 
@@ -19,7 +19,6 @@ import pytest
 
 from repro.core import LowRankFactors, TruncationInfo, error_bound
 from repro.core.gsim_plus import DEFAULT_RECOMPRESS_TOL, GSimPlus, gsim_plus
-from repro.core.serialization import load_factors, save_factors
 from repro.graphs import load_dataset_pair
 from repro.retrieval import GSimIndex
 from repro.runtime import ExecutionContext, Metrics
@@ -243,27 +242,25 @@ class TestSolverRecompression:
 
 
 # ----------------------------------------------------------------------
-# Artifacts: serialization and the index
+# Artifacts: the index
 # ----------------------------------------------------------------------
 class TestArtifactRoundTrips:
-    def _compressed_factors(self, random_pair, precision="float32"):
+    @staticmethod
+    def _compressed_index(random_pair):
         graph_a, graph_b = random_pair
-        solver = GSimPlus(
-            graph_a, graph_b, rank_cap="qr-compress",
-            recompress_tol=1e-6, precision=precision,
+        return GSimIndex.build(
+            graph_a, graph_b, iterations=5,
+            recompress_tol=1e-6, precision="float32",
         )
-        state = None
-        for state in solver.iterate(5):
-            pass
-        return state.factors
 
     def test_save_load_preserves_dtype_and_truncation(
         self, tmp_path, random_pair
     ):
-        factors = self._compressed_factors(random_pair)
-        path = tmp_path / "factors.npz"
-        save_factors(factors, path)
-        loaded = load_factors(path)
+        index = self._compressed_index(random_pair)
+        path = tmp_path / "index.npz"
+        index.save(path)
+        loaded = GSimIndex.load(path).factors
+        factors = index.factors
         assert loaded.dtype == np.float32
         assert loaded.truncation == factors.truncation
         np.testing.assert_array_equal(loaded.u, factors.u)
@@ -271,30 +268,8 @@ class TestArtifactRoundTrips:
         # float32 on disk must not balloon back to float64 sizes.
         assert loaded.nbytes == factors.nbytes
 
-    def test_v2_artifact_still_loads_as_float64(self, tmp_path, random_pair):
-        from repro.runtime.resilience import content_checksum
-
-        factors = self._compressed_factors(random_pair, precision="float64")
-        content = {
-            "u": factors.u,
-            "v": factors.v,
-            "log_scale": np.float64(factors.log_scale),
-            "format_version": np.int64(2),
-        }
-        digest = content_checksum(content)
-        path = tmp_path / "legacy.npz"
-        np.savez_compressed(path, **content, checksum=np.str_(digest))
-        loaded = load_factors(path)
-        assert loaded.dtype == np.float64
-        assert loaded.truncation is None
-        np.testing.assert_array_equal(loaded.u, factors.u)
-
     def test_index_round_trip_preserves_precision(self, tmp_path, random_pair):
-        graph_a, graph_b = random_pair
-        index = GSimIndex.build(
-            graph_a, graph_b, iterations=5,
-            recompress_tol=1e-6, precision="float32",
-        )
+        index = self._compressed_index(random_pair)
         path = tmp_path / "index.npz"
         index.save(path)
         loaded = GSimIndex.load(path)
@@ -302,6 +277,39 @@ class TestArtifactRoundTrips:
         assert loaded.metadata.recompress_tol == 1e-6
         assert loaded.metadata.truncation is not None
         assert loaded.memory_bytes() == index.memory_bytes()
+        queries = ([0, 1, 2], [0, 1])
+        np.testing.assert_array_equal(
+            loaded.query(*queries), index.query(*queries)
+        )
+
+    def test_pre_v3_index_loads_as_float64(self, tmp_path, random_pair):
+        # Indexes written before the precision policy carry no ``dtype``
+        # entry and no precision fields; they must keep loading.
+        import json
+        from dataclasses import asdict
+
+        from repro.runtime.resilience import content_checksum
+
+        index = GSimIndex.build(*random_pair, iterations=4)
+        raw = asdict(index.metadata)
+        for name in ("precision", "recompress_tol", "truncation"):
+            del raw[name]
+        raw["metadata_version"] = 2
+        content = {
+            "u": index.factors.u,
+            "v": index.factors.v,
+            "log_scale": np.float64(index.factors.log_scale),
+            "metadata_json": json.dumps(raw),
+        }
+        path = tmp_path / "legacy.npz"
+        np.savez_compressed(
+            path, **content, checksum=np.str_(content_checksum(content))
+        )
+        loaded = GSimIndex.load(path)
+        assert loaded.factors.dtype == np.float64
+        assert loaded.factors.truncation is None
+        assert loaded.metadata.precision == "float64"
+        np.testing.assert_array_equal(loaded.factors.u, index.factors.u)
         queries = ([0, 1, 2], [0, 1])
         np.testing.assert_array_equal(
             loaded.query(*queries), index.query(*queries)

@@ -13,9 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.embeddings import LowRankFactors
 from repro.core.gsim_plus import GSimPlus, gsim_plus
-from repro.core.serialization import load_factors, save_factors
 from repro.experiments.journal import RunJournal
 from repro.experiments.runner import (
     AlgorithmSpec,
@@ -502,43 +500,9 @@ class TestNumericGuard:
 
 
 # ----------------------------------------------------------------------
-# Corrupt artifacts: factors + index files
+# Corrupt artifacts: index files
 # ----------------------------------------------------------------------
 class TestArtifactCorruption:
-    @staticmethod
-    def _factors():
-        rng = np.random.default_rng(3)
-        return LowRankFactors(
-            rng.normal(size=(6, 4)), rng.normal(size=(5, 4)), log_scale=2.5
-        )
-
-    def test_factor_roundtrip(self, tmp_path):
-        path = tmp_path / "factors.npz"
-        factors = self._factors()
-        save_factors(factors, path)
-        loaded = load_factors(path)
-        assert np.array_equal(loaded.u, factors.u)
-        assert np.array_equal(loaded.v, factors.v)
-        assert loaded.log_scale == factors.log_scale
-
-    def test_truncated_factor_file(self, tmp_path):
-        path = tmp_path / "factors.npz"
-        save_factors(self._factors(), path)
-        path.write_bytes(path.read_bytes()[:25])
-        with pytest.raises(CorruptArtifactError, match="rebuild"):
-            load_factors(path)
-
-    def test_flipped_byte_in_factor_file(self, tmp_path):
-        path = tmp_path / "factors.npz"
-        save_factors(self._factors(), path)
-        _flip_payload_byte(path)
-        with pytest.raises(CorruptArtifactError):
-            load_factors(path)
-
-    def test_missing_factor_file_is_not_corrupt(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_factors(tmp_path / "absent.npz")
-
     def test_index_roundtrip_and_corruption(self, tmp_path, random_pair):
         graph_a, graph_b = random_pair
         index = GSimIndex.build(graph_a, graph_b, iterations=4)
@@ -551,6 +515,11 @@ class TestArtifactCorruption:
         _flip_payload_byte(path)
         with pytest.raises(CorruptArtifactError, match="rebuild"):
             GSimIndex.load(path)
+
+    def test_missing_factor_file_is_not_corrupt(self, tmp_path):
+        # A missing file is not a corrupt one: the caller's path is wrong.
+        with pytest.raises(FileNotFoundError):
+            GSimIndex.load(tmp_path / "absent.npz")
 
     def test_truncated_index_file(self, tmp_path, random_pair):
         graph_a, graph_b = random_pair

@@ -90,56 +90,3 @@ class TestTopKForQueries:
     def test_non_integer_query_rejected(self, pair, queries):
         with pytest.raises(TypeError, match="integer node ids"):
             top_k_for_queries(*pair, queries, k=2, iterations=3)
-
-
-class TestSerialization:
-    def test_round_trip(self, pair, tmp_path):
-        from repro.core import GSimPlus, load_factors, save_factors
-
-        graph_a, graph_b = pair
-        solver = GSimPlus(graph_a, graph_b, rank_cap="qr-compress")
-        state = None
-        for state in solver.iterate(5):
-            pass
-        path = tmp_path / "factors.npz"
-        save_factors(state.factors, path)
-        loaded = load_factors(path)
-        np.testing.assert_array_equal(loaded.u, state.factors.u)
-        np.testing.assert_array_equal(loaded.v, state.factors.v)
-        assert loaded.log_scale == state.factors.log_scale
-
-    def test_loaded_factors_answer_queries(self, pair, tmp_path):
-        from repro.core import GSimPlus, load_factors, save_factors
-
-        graph_a, graph_b = pair
-        solver = GSimPlus(graph_a, graph_b, rank_cap="qr-compress")
-        state = None
-        for state in solver.iterate(5):
-            pass
-        path = tmp_path / "factors.npz"
-        save_factors(state.factors, path)
-        loaded = load_factors(path)
-        direct = state.factors.query_block([0, 1], [2, 3])
-        np.testing.assert_array_equal(loaded.query_block([0, 1], [2, 3]), direct)
-
-    def test_wrong_file_rejected(self, tmp_path):
-        from repro.core import load_factors
-
-        path = tmp_path / "junk.npz"
-        np.savez(path, something=np.ones(3))
-        with pytest.raises(ValueError, match="not a factors file"):
-            load_factors(path)
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        from repro.core import load_factors
-
-        path = tmp_path / "old.npz"
-        np.savez(
-            path,
-            u=np.ones((2, 1)),
-            v=np.ones((2, 1)),
-            log_scale=np.float64(0),
-            format_version=np.int64(999),
-        )
-        with pytest.raises(ValueError, match="format version"):
-            load_factors(path)

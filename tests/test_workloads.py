@@ -6,8 +6,6 @@ import pytest
 from repro.graphs import erdos_renyi_graph
 from repro.workloads import (
     degree_biased_queries,
-    geometric_sweep,
-    linear_sweep,
     make_workload,
     uniform_queries,
 )
@@ -91,31 +89,3 @@ class TestMakeWorkload:
     def test_biased_flag(self, graph):
         workload = make_workload(graph, graph, 10, 10, seed=0, biased=True)
         assert workload.size == (10, 10)
-
-
-class TestSweeps:
-    def test_linear_basic(self):
-        assert linear_sweep(2, 10, 5) == [2, 4, 6, 8, 10]
-
-    def test_linear_single_step(self):
-        assert linear_sweep(7, 100, 1) == [7]
-
-    def test_linear_dedupes_collisions(self):
-        values = linear_sweep(1, 3, 10)
-        assert values == sorted(set(values))
-
-    def test_linear_validates_steps(self):
-        with pytest.raises(ValueError):
-            linear_sweep(0, 10, 0)
-
-    def test_geometric_basic(self):
-        assert geometric_sweep(100, 1000, 2) == [100, 200, 400, 800]
-
-    def test_geometric_includes_stop(self):
-        assert geometric_sweep(1, 8, 2) == [1, 2, 4, 8]
-
-    def test_geometric_validates(self):
-        with pytest.raises(ValueError):
-            geometric_sweep(0, 10)
-        with pytest.raises(ValueError):
-            geometric_sweep(1, 10, factor=1.0)
