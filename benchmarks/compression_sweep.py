@@ -16,7 +16,9 @@ Run via ``make bench-compression`` (pins BLAS threads, writes
     PYTHONPATH=src python benchmarks/compression_sweep.py [output.json]
 
 The JSON is committed next to the other bench artifacts so accuracy
-regressions in the recompression path show up in review diffs.
+regressions in the recompression path show up in review diffs.  The
+script exits 1 when any recompressed error exceeds the Theorem 4.2
+bound, after writing the curves.
 """
 
 from __future__ import annotations
@@ -158,6 +160,7 @@ def main(argv: list[str]) -> int:
     }
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    within = True
     for sweep in document["datasets"]:
         check = sweep["bound_check"]
         print(
@@ -172,9 +175,10 @@ def main(argv: list[str]) -> int:
                 f"max_err={point['max_error']:.3e}"
             )
         if not all(entry["within_bound"] for entry in check["checks"]):
-            print("  WARNING: recompressed error exceeded the Theorem 4.2 bound")
+            print("  ERROR: recompressed error exceeded the Theorem 4.2 bound")
+            within = False
     print(f"curves written to {output}")
-    return 0
+    return 0 if within else 1
 
 
 if __name__ == "__main__":

@@ -26,9 +26,12 @@ array properties:
   :attr:`precision` reports the policy as a string, :meth:`astype`
   converts between the two.
 * **Truncation** — :meth:`recompressed` bounds the width by *numerical
-  rank*: a QR of each factor, an SVD of the small core ``R_U R_V^T``, and
-  a truncation keeping the smallest rank whose discarded spectral energy
-  stays below a relative tolerance.  The resulting object carries a
+  rank*: the R factor of each factor's QR (a TSQR over its non-zero rows;
+  no orthonormal Q is formed), an SVD of the small core ``R_U R_V^T``, a
+  truncation keeping the smallest rank whose discarded spectral energy
+  stays below a relative tolerance, and one ``w x r`` product per factor.
+  The QR work is proportional to the non-zero rows only, and zero rows
+  stay exactly zero.  The resulting object carries a
   :class:`TruncationInfo` record (retained rank, discarded energy,
   effective tolerance) so metrics, traces, and persisted artifacts can
   report how lossy the representation is.
@@ -58,6 +61,10 @@ _SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 # The row scans below read chunks of about this many bytes of float64.
 _NORM_CHUNK_BYTES = 1 << 22
+# Rows per chunk of the TSQR in ``recompressed``: each chunk's non-zero
+# rows get one LAPACK QR.  On a 262k x 44 factor, chunks of 1k-8k rows ran
+# within 10% of each other and 16k-32k rows ~50% slower (one BLAS thread).
+_TSQR_CHUNK_ROWS = 4096
 # A sum of squares outside this range may have lost entries to underflow
 # (the square of any |x| < ~1e-162 is subnormal or zero) or overflowed.
 _SAFE_SQUARES = (2.0**-900, 2.0**900)
@@ -113,6 +120,24 @@ def nonzero_rows(factor: np.ndarray) -> np.ndarray:
 def _chunk_rows(width: int) -> int:
     """Rows per chunk of the row scans: about ``_NORM_CHUNK_BYTES``."""
     return max(1, _NORM_CHUNK_BYTES // (8 * max(width, 1)))
+
+
+def _tsqr_r(factor: np.ndarray) -> np.ndarray:
+    """The ``w x w`` R of a QR of ``factor``, from its non-zero rows.
+
+    Sequential tall-skinny QR: chunk by chunk of ``_TSQR_CHUNK_ROWS``
+    rows, ``R`` becomes the R of ``R`` stacked on the chunk's non-zero
+    rows.  Zero rows do not change ``R^T R = factor^T factor``, so they
+    are skipped; starting from a ``w x w`` zero R keeps R square when
+    fewer than ``w`` rows are non-zero.
+    """
+    width = factor.shape[1]
+    r = np.zeros((width, width), dtype=factor.dtype)
+    for start in range(0, factor.shape[0], _TSQR_CHUNK_ROWS):
+        chunk = factor[start : start + _TSQR_CHUNK_ROWS]
+        live = chunk[nonzero_rows(chunk)]
+        r = np.linalg.qr(np.concatenate([r, live]), mode="r")
+    return r
 
 
 def _resolve_dtype(requested: "np.dtype | str | type | None") -> np.dtype | None:
@@ -442,14 +467,22 @@ class LowRankFactors:
         """Truncate the width to the numerical rank at relative tolerance
         ``tol``.
 
-        The machinery is the orthogonalised truncation of the low-rank
-        SimRank line of work (and of the GSVD baseline): thin QR of each
-        factor, SVD of the small ``w x w`` core ``R_U R_V^T``, and a cut
-        keeping the smallest rank ``r`` whose discarded spectral energy
-        satisfies ``sum_{i>r} s_i^2 <= tol^2 * sum_i s_i^2`` — i.e. the
-        truncation error is at most ``tol`` *relative to* ``||Z||_F``:
+        The machinery is the QR + SVD rounding of the low-rank SimRank
+        line of work, from the R factors alone: ``R_U`` and ``R_V`` of a
+        QR of each factor (by TSQR over its non-zero rows, see
+        :func:`_tsqr_r`), the SVD ``R_U R_V^T = W_U S W_V^T`` of the small
+        ``w x w`` core, and a cut keeping the smallest rank ``r`` whose
+        discarded spectral energy satisfies
+        ``sum_{i>r} s_i^2 <= tol^2 * sum_i s_i^2`` — i.e. the truncation
+        error is at most ``tol`` *relative to* ``||Z||_F``:
 
             ||Z - Z_r||_F <= tol * ||Z||_F.
+
+        With ``U = Q_U R_U`` and ``V = Q_V R_V`` the truncated factors are
+        ``Q_U W_U[:, :r] S_r^(1/2) = U R_V^T W_V[:, :r] S_r^(-1/2)`` and
+        likewise for V, so no orthonormal ``Q`` is ever formed and only
+        retained singular values are inverted (each exceeds
+        ``tol * s_1 / sqrt(w)``).  A zero row of U or V stays exactly zero.
 
         Because GSim+ normalises by the Frobenius norm at the end, a
         per-iteration recompression at tolerance ``tol`` perturbs the
@@ -457,14 +490,17 @@ class LowRankFactors:
         iterations (first order) — the solver keeps this far below the
         Theorem 4.2 spectral bound by default.
 
-        Cost: ``O((n_rows + n_cols) w^2 + w^3)`` — the same shape as one
-        doubling step, so recompressing every iteration keeps deep
+        Cost: ``O(m w^2 + (n_rows + n_cols) w r + w^3)`` for ``m``
+        non-zero rows — QR work on non-zero rows only, then one product
+        per factor — so recompressing every iteration keeps deep
         iterations at ~constant cost per step instead of the exponential
-        ``2^k`` schedule.
+        ``2^k`` schedule.  :meth:`recompression_bytes` bounds what it
+        holds.
 
         Returns a new object in the same precision, carrying a
         :class:`TruncationInfo` record; ``max_rank`` optionally caps the
-        retained rank regardless of tolerance.
+        retained rank regardless of tolerance.  A zero matrix becomes the
+        rank-1 zero pair.
 
         Examples
         --------
@@ -484,34 +520,34 @@ class LowRankFactors:
             raise ValueError(f"tol must be in (0, 1), got {tol}")
         if max_rank is not None and max_rank < 1:
             raise ValueError(f"max_rank must be >= 1, got {max_rank}")
-        q_u, r_u = np.linalg.qr(self.u)
-        q_v, r_v = np.linalg.qr(self.v)
-        core = r_u @ r_v.T
-        core_u, sigma, core_vt = np.linalg.svd(core, full_matrices=False)
+        r_u = _tsqr_r(self.u)
+        r_v = _tsqr_r(self.v)
+        core_u, sigma, core_vt = np.linalg.svd(r_u @ r_v.T)
         # Energy accounting in float64 even on the float32 path, so the
         # cut decision is never dominated by accumulation noise.
         s2 = np.asarray(sigma, dtype=np.float64) ** 2
         total = float(s2.sum())
         width = self.width
         if total == 0.0:
-            rank = 1
-            discarded = 0.0
-        else:
-            # tail[i] = sum_{j >= i} s_j^2, with tail[width] = 0.
-            tail = np.concatenate([np.cumsum(s2[::-1])[::-1], [0.0]])
-            budget = (tol * tol) * total
-            rank = int(np.argmax(tail <= budget))
-            rank = max(rank, 1)
-            if max_rank is not None:
-                rank = min(rank, max_rank)
-            discarded = math.sqrt(max(float(tail[rank]), 0.0) / total)
-        rank = min(rank, width)
+            info = TruncationInfo(1, width - 1, 0.0, float(tol))
+            return LowRankFactors(
+                np.zeros((self.shape[0], 1), dtype=self.dtype),
+                np.zeros((self.shape[1], 1), dtype=self.dtype),
+                self.log_scale,
+                truncation=info,
+            )
+        # tail[i] = sum_{j >= i} s_j^2, with tail[width] = 0.
+        tail = np.concatenate([np.cumsum(s2[::-1])[::-1], [0.0]])
+        rank = max(int(np.argmax(tail <= (tol * tol) * total)), 1)
+        if max_rank is not None:
+            rank = min(rank, max_rank)
+        discarded = math.sqrt(max(float(tail[rank]), 0.0) / total)
         # Split the singular values symmetrically so both factors stay
         # well-conditioned (the solver's per-step rescale sees magnitudes
         # ~sqrt(s) on each side instead of s on one).
-        root = np.sqrt(sigma[:rank]).astype(self.dtype, copy=False)
-        new_u = q_u @ (core_u[:, :rank] * root)
-        new_v = q_v @ (core_vt[:rank].T * root)
+        inv_root = 1.0 / np.sqrt(sigma[:rank])
+        new_u = self.u @ (r_v.T @ (core_vt[:rank].T * inv_root))
+        new_v = self.v @ (r_u.T @ (core_u[:, :rank] * inv_root))
         info = TruncationInfo(
             retained_rank=rank,
             discarded_rank=width - rank,
@@ -519,6 +555,21 @@ class LowRankFactors:
             tolerance=float(tol),
         )
         return LowRankFactors(new_u, new_v, self.log_scale, truncation=info)
+
+    def recompression_bytes(self) -> int:
+        """Bytes :meth:`recompressed` holds at its peak above these factors.
+
+        The larger of the TSQR scan's working set (one chunk's non-zero
+        rows stacked under R, and LAPACK's float64 copy of that stack) and
+        the output pair (charged at the input width, as the retained rank
+        is known only after the SVD), plus the ``w x w`` cores and 16 KiB
+        of array headers.  A memory ledger is charged this before the call.
+        """
+        width = self.width
+        rows = min(_TSQR_CHUNK_ROWS, max(self.shape)) + width
+        scan = rows * (width * (2 * self.dtype.itemsize + 8) + 16)
+        cores = 16 * width * width * 8 + (16 << 10)
+        return max(scan, self.nbytes) + cores
 
     def __repr__(self) -> str:
         return (

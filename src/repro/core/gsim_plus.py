@@ -29,8 +29,9 @@ Recompression and precision
 ---------------------------
 Most of the doubled width carries negligible spectral energy, so with
 ``recompress_tol`` set the solver recompresses the factors *between*
-doubling steps — QR on ``U_k``/``V_k``, SVD of the small core
-``R_U R_V^T``, truncation at the relative tolerance (see
+doubling steps — the R factors of ``U_k``/``V_k`` by TSQR over their
+non-zero rows, SVD of the small core ``R_U R_V^T``, truncation at the
+relative tolerance, and one ``w x r`` product per factor (see
 :meth:`repro.core.embeddings.LowRankFactors.recompressed`) — bounding the
 width by numerical rank instead of the ``2^k`` schedule.  Per-iteration
 truncation at tolerance ``tol`` perturbs the final normalised similarity
@@ -446,16 +447,16 @@ class GSimPlus:
     ) -> LowRankFactors:
         """Rank-bound the stepped factors at :attr:`recompress_tol`.
 
-        The QR workspace (two orthonormal factors the same size as the
-        input plus three ``w x w`` core matrices) is charged against the
-        memory ledger for the duration of the decomposition, so budget
-        breaches surface before the allocation instead of as a MemoryError
-        inside LAPACK.  Truncation metadata lands in ``gsim_plus.*``
-        metrics and a ``gsim_plus.recompress`` trace event.
+        The kernel's peak above its input
+        (:meth:`~repro.core.embeddings.LowRankFactors.recompression_bytes`)
+        is charged against the memory ledger for the duration of the call,
+        so budget breaches surface before the allocation instead of as a
+        MemoryError inside LAPACK.  Truncation metadata lands in
+        ``gsim_plus.*`` metrics and a ``gsim_plus.recompress`` trace event.
         """
         assert self.recompress_tol is not None
         width = factors.width
-        workspace = factors.nbytes + 3 * width * width * factors.dtype.itemsize
+        workspace = factors.recompression_bytes()
         with context.holding(workspace, f"GSim+ recompression (k={k})"):
             compact = factors.recompressed(self.recompress_tol)
         info = compact.truncation

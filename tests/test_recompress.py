@@ -2,8 +2,9 @@
 
 Covers the first-class ``LowRankFactors`` representation end to end:
 
-* the rank-bounded recompression step (QR + small SVD + tail-energy
-  truncation) and its relative-error contract,
+* the rank-bounded recompression step (TSQR R factors + small SVD +
+  tail-energy truncation), its relative-error contract against a dense
+  SVD oracle, exact zero rows and the zero-matrix contract,
 * the precision policy (float64 exact default, opt-in float32) and
   float32-vs-float64 parity on the paper's worked example,
 * width bounded by numerical rank instead of the ``2^k`` doubling
@@ -11,7 +12,8 @@ Covers the first-class ``LowRankFactors`` representation end to end:
 * recompressed-vs-exact error staying under the Theorem 4.2 bound,
 * dtype + truncation metadata round-tripping through ``GSimIndex``
   (with the pre-v3 float64 compatibility path),
-* memory-ledger charging and metrics for recompression steps.
+* memory-ledger charging (traced peak within the charge) and metrics
+  for recompression steps.
 """
 
 import numpy as np
@@ -19,9 +21,10 @@ import pytest
 
 from repro.core import LowRankFactors, TruncationInfo, error_bound
 from repro.core.gsim_plus import DEFAULT_RECOMPRESS_TOL, GSimPlus, gsim_plus
-from repro.graphs import load_dataset_pair
+from repro.graphs import erdos_renyi_graph, load_dataset_pair
 from repro.retrieval import GSimIndex
 from repro.runtime import ExecutionContext, Metrics
+from repro.utils.memory import MemoryTracker
 
 pytestmark = pytest.mark.recompress
 
@@ -160,6 +163,87 @@ class TestRecompressed:
         assert compressed.dtype == np.float32
         assert compressed.width == 3
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_zero_rows_stay_exactly_zero(self, dtype):
+        # Zero rows among the first w rows too: an explicit thin Q has
+        # rounding residues there.
+        factors = self._rank3_factors(width=16).astype(dtype)
+        zero_u = [0, 2, 5, 15, 30]
+        zero_v = [1, 3, 14, 29]
+        factors.u[zero_u] = 0.0
+        factors.v[zero_v] = 0.0
+        compressed = factors.recompressed(1e-6)
+        assert compressed.dtype == dtype
+        assert compressed.width == 3
+        assert not compressed.u[zero_u].any()
+        assert not compressed.v[zero_v].any()
+        live_u = np.setdiff1d(np.arange(factors.shape[0]), zero_u)
+        assert compressed.u[live_u].any(axis=1).all()
+        np.testing.assert_allclose(
+            _dense(compressed), _dense(factors),
+            atol=1e-4 * np.abs(_dense(factors)).max(),
+        )
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            (np.zeros((6, 4)), np.ones((5, 4))),
+            (np.ones((6, 4)), np.zeros((5, 4))),
+            # Non-zero factors whose product is zero.
+            (np.array([[1.0, 0.0]] * 3), np.array([[0.0, 2.0]] * 2)),
+        ],
+    )
+    def test_zero_matrix_gives_rank1_zero_pair(self, u, v):
+        compressed = LowRankFactors(u, v, log_scale=0.25).recompressed(1e-8)
+        assert compressed.u.shape == (u.shape[0], 1)
+        assert compressed.v.shape == (v.shape[0], 1)
+        assert not compressed.u.any() and not compressed.v.any()
+        assert compressed.log_scale == 0.25
+        assert compressed.truncation == TruncationInfo(
+            retained_rank=1, discarded_rank=u.shape[1] - 1,
+            discarded_energy=0.0, tolerance=1e-8,
+        )
+
+    def test_fewer_nonzero_rows_than_columns(self, rng):
+        u = np.zeros((30, 8))
+        u[[4, 11, 27]] = rng.standard_normal((3, 8))
+        v = rng.standard_normal((20, 8))
+        factors = LowRankFactors(u, v)
+        compressed = factors.recompressed(1e-10)
+        assert compressed.width == 3
+        assert compressed.truncation.discarded_rank == 5
+        assert np.array_equal(
+            np.flatnonzero(compressed.u.any(axis=1)), [4, 11, 27]
+        )
+        z = _dense(factors)
+        error = np.linalg.norm(z - _dense(compressed))
+        assert error <= 1e-12 * np.linalg.norm(z)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("tol", [1e-1, 1e-4, 1e-7])
+    def test_rank_and_error_match_dense_svd_oracle(self, seed, tol):
+        # Z = X diag(s) Y^T through redundant width-w factors, with
+        # singular values ~10^-1.5 apart so no tail sits near a cut.
+        rng = np.random.default_rng(seed)
+        rank = int(rng.integers(1, 8))
+        width = int(rng.integers(rank, 17))
+        n_a = int(rng.integers(rank, 50)) + 3
+        n_b = int(rng.integers(rank, 40)) + 3
+        sigma = 10.0 ** (-1.5 * np.arange(rank)) * rng.uniform(1, 1.5, rank)
+        mix = np.linalg.qr(rng.standard_normal((width, rank)))[0]
+        x = np.zeros((n_a, rank))
+        x[3:] = np.linalg.qr(rng.standard_normal((n_a - 3, rank)))[0]
+        y = np.zeros((n_b, rank))
+        y[3:] = np.linalg.qr(rng.standard_normal((n_b - 3, rank)))[0]
+        factors = LowRankFactors((x * sigma) @ mix.T, y @ mix.T)
+        z = _dense(factors)
+        s2 = np.linalg.svd(z, compute_uv=False) ** 2
+        tail = np.append(np.cumsum(s2[::-1])[::-1], 0.0)
+        oracle_rank = int(np.argmax(tail <= tol**2 * s2.sum()))
+        compressed = factors.recompressed(tol)
+        assert compressed.width == oracle_rank
+        assert np.linalg.norm(z - _dense(compressed)) <= tol * np.linalg.norm(z)
+
 
 # ----------------------------------------------------------------------
 # The solver: width bounding, accuracy, parity, metrics
@@ -239,6 +323,26 @@ class TestSolverRecompression:
         tree = metrics.snapshot()
         assert tree["counters"]["gsim_plus.recompressions"] >= 1
         assert context.memory.peak_bytes > 0
+
+    def test_recompress_peak_memory_within_charge(self):
+        """One recompression holds no more than the ledger charge it
+        takes before allocating."""
+        from repro.experiments.guards import MemoryBudget
+
+        graph_a = erdos_renyi_graph(20000, 40000, seed=23)
+        graph_b = erdos_renyi_graph(3000, 6000, seed=24)
+        solver = GSimPlus(graph_a, graph_b, recompress_tol=1e-8)
+        factors = LowRankFactors.ones(solver.n_a, solver.n_b)
+        for _ in range(5):
+            factors = solver._step_factors(factors)
+        assert factors.width == 32
+        assert not factors.u.any(axis=1).all()  # isolated nodes: zero rows
+        context = ExecutionContext(memory=MemoryBudget().ledger())
+        with MemoryTracker() as tracker:
+            solver._recompress(factors, 5, context)
+        charge = context.memory.peak_bytes
+        assert tracker.peak_bytes <= charge, tracker.peak_bytes / charge
+        assert charge == factors.recompression_bytes()
 
 
 # ----------------------------------------------------------------------
