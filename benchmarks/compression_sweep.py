@@ -17,8 +17,9 @@ Run via ``make bench-compression`` (pins BLAS threads, writes
 
 The JSON is committed next to the other bench artifacts so accuracy
 regressions in the recompression path show up in review diffs.  The
-script exits 1 when any recompressed error exceeds the Theorem 4.2
-bound, after writing the curves.
+script exits 1, after writing the curves, when any recompressed error
+exceeds the Theorem 4.2 bound or ``ITERATIONS * tol`` (see
+:func:`tolerance_breaches`).
 """
 
 from __future__ import annotations
@@ -148,6 +149,33 @@ def sweep_dataset(dataset: str) -> dict:
     }
 
 
+def tolerance_breaches(document: dict) -> list[str]:
+    """Recompressed points whose max error exceeds ``ITERATIONS * tol``.
+
+    ``ITERATIONS`` recompressions at relative tolerance ``tol`` move the
+    normalised scores by at most about ``ITERATIONS * tol`` (the tolerance
+    ``bench_e2e`` verifies recompressed builds against).  The Theorem 4.2
+    bound is orders of magnitude looser, too loose to catch a wrong kernel.
+    """
+    breaches = []
+    for sweep in document["datasets"]:
+        points = [
+            (point["label"], point["truncation"]["tolerance"], point["max_error"])
+            for point in sweep["points"]
+            if point["truncation"] is not None
+        ]
+        points += [
+            (f"bound-check-{check['tolerance']:.0e}", check["tolerance"], check["max_error"])
+            for check in sweep["bound_check"]["checks"]
+        ]
+        breaches += [
+            f"{sweep['dataset']} {label}: max_err={error:.3e} > {ITERATIONS} * {tol:.0e}"
+            for label, tol, error in points
+            if not error <= ITERATIONS * tol
+        ]
+    return breaches
+
+
 def main(argv: list[str]) -> int:
     output = Path(argv[1]) if len(argv) > 1 else Path("results/BENCH_compression.json")
     document = {
@@ -177,6 +205,9 @@ def main(argv: list[str]) -> int:
         if not all(entry["within_bound"] for entry in check["checks"]):
             print("  ERROR: recompressed error exceeded the Theorem 4.2 bound")
             within = False
+    for breach in tolerance_breaches(document):
+        print(f"ERROR: {breach}")
+        within = False
     print(f"curves written to {output}")
     return 0 if within else 1
 

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.runtime import ExecutionContext
 from repro.utils.validation import resolve_node_index
 
 __all__ = ["LowRankFactors", "TruncationInfo", "nonzero_rows", "row_norms"]
@@ -462,7 +463,10 @@ class LowRankFactors:
         )
 
     def recompressed(
-        self, tol: float, max_rank: int | None = None
+        self,
+        tol: float,
+        max_rank: int | None = None,
+        context: ExecutionContext | None = None,
     ) -> "LowRankFactors":
         """Truncate the width to the numerical rank at relative tolerance
         ``tol``.
@@ -494,8 +498,10 @@ class LowRankFactors:
         non-zero rows — QR work on non-zero rows only, then one product
         per factor — so recompressing every iteration keeps deep
         iterations at ~constant cost per step instead of the exponential
-        ``2^k`` schedule.  :meth:`recompression_bytes` bounds what it
-        holds.
+        ``2^k`` schedule.  Each phase charges the memory ledger of
+        ``context`` what :meth:`recompression_bytes` bounds it to hold,
+        before it allocates: the TSQR scan and SVD, then the output pair
+        at the retained rank.
 
         Returns a new object in the same precision, carrying a
         :class:`TruncationInfo` record; ``max_rank`` optionally caps the
@@ -520,34 +526,40 @@ class LowRankFactors:
             raise ValueError(f"tol must be in (0, 1), got {tol}")
         if max_rank is not None and max_rank < 1:
             raise ValueError(f"max_rank must be >= 1, got {max_rank}")
-        r_u = _tsqr_r(self.u)
-        r_v = _tsqr_r(self.v)
-        core_u, sigma, core_vt = np.linalg.svd(r_u @ r_v.T)
+        context = ExecutionContext.resolve(context)
+        width = self.width
+        with context.holding(
+            self.recompression_bytes(), f"recompression TSQR (width {width})"
+        ):
+            r_u = _tsqr_r(self.u)
+            r_v = _tsqr_r(self.v)
+            core_u, sigma, core_vt = np.linalg.svd(r_u @ r_v.T)
         # Energy accounting in float64 even on the float32 path, so the
         # cut decision is never dominated by accumulation noise.
         s2 = np.asarray(sigma, dtype=np.float64) ** 2
         total = float(s2.sum())
-        width = self.width
         if total == 0.0:
-            info = TruncationInfo(1, width - 1, 0.0, float(tol))
-            return LowRankFactors(
-                np.zeros((self.shape[0], 1), dtype=self.dtype),
-                np.zeros((self.shape[1], 1), dtype=self.dtype),
-                self.log_scale,
-                truncation=info,
-            )
-        # tail[i] = sum_{j >= i} s_j^2, with tail[width] = 0.
-        tail = np.concatenate([np.cumsum(s2[::-1])[::-1], [0.0]])
-        rank = max(int(np.argmax(tail <= (tol * tol) * total)), 1)
-        if max_rank is not None:
-            rank = min(rank, max_rank)
-        discarded = math.sqrt(max(float(tail[rank]), 0.0) / total)
-        # Split the singular values symmetrically so both factors stay
-        # well-conditioned (the solver's per-step rescale sees magnitudes
-        # ~sqrt(s) on each side instead of s on one).
-        inv_root = 1.0 / np.sqrt(sigma[:rank])
-        new_u = self.u @ (r_v.T @ (core_vt[:rank].T * inv_root))
-        new_v = self.v @ (r_u.T @ (core_u[:, :rank] * inv_root))
+            rank, discarded = 1, 0.0
+        else:
+            # tail[i] = sum_{j >= i} s_j^2, with tail[width] = 0.
+            tail = np.concatenate([np.cumsum(s2[::-1])[::-1], [0.0]])
+            rank = max(int(np.argmax(tail <= (tol * tol) * total)), 1)
+            if max_rank is not None:
+                rank = min(rank, max_rank)
+            discarded = math.sqrt(max(float(tail[rank]), 0.0) / total)
+        with context.holding(
+            self.recompression_bytes(rank), f"recompression output (rank {rank})"
+        ):
+            if total == 0.0:
+                new_u = np.zeros((self.shape[0], 1), dtype=self.dtype)
+                new_v = np.zeros((self.shape[1], 1), dtype=self.dtype)
+            else:
+                # Split the singular values symmetrically so both factors
+                # stay well-conditioned (the solver's per-step rescale sees
+                # magnitudes ~sqrt(s) on each side instead of s on one).
+                inv_root = 1.0 / np.sqrt(sigma[:rank])
+                new_u = self.u @ (r_v.T @ (core_vt[:rank].T * inv_root))
+                new_v = self.v @ (r_u.T @ (core_u[:, :rank] * inv_root))
         info = TruncationInfo(
             retained_rank=rank,
             discarded_rank=width - rank,
@@ -556,20 +568,20 @@ class LowRankFactors:
         )
         return LowRankFactors(new_u, new_v, self.log_scale, truncation=info)
 
-    def recompression_bytes(self) -> int:
-        """Bytes :meth:`recompressed` holds at its peak above these factors.
+    def recompression_bytes(self, rank: int | None = None) -> int:
+        """Bytes one phase of :meth:`recompressed` holds above these factors.
 
-        The larger of the TSQR scan's working set (one chunk's non-zero
-        rows stacked under R, and LAPACK's float64 copy of that stack) and
-        the output pair (charged at the input width, as the retained rank
-        is known only after the SVD), plus the ``w x w`` cores and 16 KiB
-        of array headers.  A memory ledger is charged this before the call.
+        Without ``rank``, the TSQR scan and the SVD: one chunk's non-zero
+        rows stacked under R, and LAPACK's float64 copy of that stack.
+        With ``rank``, the output pair at that rank.  Both add the
+        ``w x w`` cores and 16 KiB of array headers.
         """
         width = self.width
-        rows = min(_TSQR_CHUNK_ROWS, max(self.shape)) + width
-        scan = rows * (width * (2 * self.dtype.itemsize + 8) + 16)
         cores = 16 * width * width * 8 + (16 << 10)
-        return max(scan, self.nbytes) + cores
+        if rank is not None:
+            return sum(self.shape) * rank * self.dtype.itemsize + cores
+        rows = min(_TSQR_CHUNK_ROWS, max(self.shape)) + width
+        return rows * (width * (2 * self.dtype.itemsize + 8) + 16) + cores
 
     def __repr__(self) -> str:
         return (

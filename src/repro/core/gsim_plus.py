@@ -447,18 +447,16 @@ class GSimPlus:
     ) -> LowRankFactors:
         """Rank-bound the stepped factors at :attr:`recompress_tol`.
 
-        The kernel's peak above its input
+        The kernel charges the memory ledger for each of its phases
         (:meth:`~repro.core.embeddings.LowRankFactors.recompression_bytes`)
-        is charged against the memory ledger for the duration of the call,
-        so budget breaches surface before the allocation instead of as a
-        MemoryError inside LAPACK.  Truncation metadata lands in
-        ``gsim_plus.*`` metrics and a ``gsim_plus.recompress`` trace event.
+        before allocating it, so budget breaches surface before the
+        allocation instead of as a MemoryError inside LAPACK.  Truncation
+        metadata lands in ``gsim_plus.*`` metrics and a
+        ``gsim_plus.recompress`` trace event.
         """
         assert self.recompress_tol is not None
         width = factors.width
-        workspace = factors.recompression_bytes()
-        with context.holding(workspace, f"GSim+ recompression (k={k})"):
-            compact = factors.recompressed(self.recompress_tol)
+        compact = factors.recompressed(self.recompress_tol, context=context)
         info = compact.truncation
         assert info is not None
         context.metrics.increment("gsim_plus.recompressions")

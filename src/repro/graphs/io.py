@@ -32,6 +32,7 @@ Two parse modes handle the reality of scraped billion-edge dumps:
 from __future__ import annotations
 
 import io
+import itertools
 import re
 import warnings
 from pathlib import Path
@@ -54,6 +55,8 @@ _MODES = ("strict", "lenient")
 # Edges per chunk when read_edge_list streams a file; the converter's
 # default chunk size too.
 CHUNK_EDGES = 1 << 20
+# Lines formatted per write by write_edge_list.
+_WRITE_EDGES = 1 << 16
 # Bytes read per block: 16 per edge of a chunk, at most 1 MiB, which keeps
 # a block's parse temporaries to about 10 MiB.
 _BLOCK_BYTES = 1 << 20
@@ -422,17 +425,20 @@ def write_edge_list(
         Emit a ``# name=<name> nodes=<n> edges=<m>`` comment header, which
         the readers use for the node count.
     """
+    coo = graph.adjacency.tocoo()
+    columns = (coo.row, coo.col, coo.data) if write_weights else (coo.row, coo.col)
+    line = "%d\t%d\t%g\n" if write_weights else "%d\t%d\n"
 
     def _emit(handle: TextIO) -> None:
         if header:
             handle.write(
                 f"# name={graph.name} nodes={graph.num_nodes} edges={graph.num_edges}\n"
             )
-        for src, dst, weight in graph.edges():
-            if write_weights:
-                handle.write(f"{src}\t{dst}\t{weight:g}\n")
-            else:
-                handle.write(f"{src}\t{dst}\n")
+        # One formatting call per chunk of lines, in CSR order.
+        for start in range(0, coo.nnz, _WRITE_EDGES):
+            rows = zip(*(part[start : start + _WRITE_EDGES].tolist() for part in columns))
+            fields = tuple(itertools.chain.from_iterable(rows))
+            handle.write(line * (len(fields) // len(columns)) % fields)
 
     if isinstance(path, (str, Path)):
         with Path(path).open("w", encoding="utf-8") as handle:

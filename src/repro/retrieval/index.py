@@ -26,6 +26,7 @@ from repro.runtime.resilience import (
     CheckpointManager,
     atomic_write,
     content_checksum,
+    write_npz,
 )
 from repro.utils.validation import check_positive_integer, resolve_node_index
 
@@ -170,6 +171,9 @@ class GSimIndex:
     def save(self, path: str | Path) -> None:
         """Atomically write factors + metadata to one ``.npz``.
 
+        The archive comes from
+        :func:`repro.runtime.resilience.write_npz`: plain
+        :func:`numpy.load` reads it, and every member carries a CRC32.
         The write goes to a sibling temp file published with
         ``os.replace`` and embeds a SHA-256 content checksum, so a crash
         mid-save never clobbers a good index and a garbled file is
@@ -185,16 +189,7 @@ class GSimIndex:
         }
         digest = content_checksum(content)
         with atomic_write(path) as tmp:
-            with open(tmp, "wb") as handle:
-                np.savez_compressed(
-                    handle,
-                    u=content["u"],
-                    v=content["v"],
-                    log_scale=content["log_scale"],
-                    dtype=content["dtype"],
-                    metadata_json=np.str_(content["metadata_json"]),
-                    checksum=np.str_(digest),
-                )
+            write_npz(tmp, {**content, "checksum": digest})
 
     @classmethod
     def load(cls, path: str | Path) -> "GSimIndex":

@@ -5,6 +5,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,6 +155,31 @@ class TestFileRoundTrip:
         write_edge_list(graph, path, write_weights=True)
         loaded = read_edge_list(path)
         assert loaded == graph
+
+    @pytest.mark.parametrize("write_weights", [False, True])
+    @pytest.mark.parametrize("chunk", [7, graphs_io._WRITE_EDGES])
+    def test_matches_line_by_line_writer(self, monkeypatch, write_weights, chunk):
+        # Chunks of 7 lines end mid-row; the text must not change with them.
+        rng = np.random.default_rng(3)
+        edges = np.column_stack(
+            [
+                rng.integers(0, 60, 400),
+                rng.integers(0, 60, 400),
+                rng.choice([1.0, 0.5, 1 / 3, 2.5e-7, 123456789.0, 1e21], 400),
+            ]
+        )
+        monkeypatch.setattr(graphs_io, "_WRITE_EDGES", chunk)
+        for graph in (Graph.from_edges(60, edges), Graph.from_edges(5, [])):
+            buffer = io.StringIO()
+            write_edge_list(graph, buffer, write_weights=write_weights)
+            lines = [
+                f"# name={graph.name} nodes={graph.num_nodes} edges={graph.num_edges}\n"
+            ]
+            for src, dst, weight in graph.edges():
+                lines.append(
+                    f"{src}\t{dst}\t{weight:g}\n" if write_weights else f"{src}\t{dst}\n"
+                )
+            assert buffer.getvalue() == "".join(lines)
 
     def test_header_written(self, tmp_path, path_graph):
         path = tmp_path / "g.txt"

@@ -339,10 +339,36 @@ class TestSolverRecompression:
         assert not factors.u.any(axis=1).all()  # isolated nodes: zero rows
         context = ExecutionContext(memory=MemoryBudget().ledger())
         with MemoryTracker() as tracker:
-            solver._recompress(factors, 5, context)
+            compact = solver._recompress(factors, 5, context)
         charge = context.memory.peak_bytes
         assert tracker.peak_bytes <= charge, tracker.peak_bytes / charge
-        assert charge == factors.recompression_bytes()
+        assert charge == max(
+            factors.recompression_bytes(),
+            factors.recompression_bytes(compact.width),
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_recompress_charge_follows_retained_rank(self, dtype):
+        """A call that halves the width is charged its output pair at the
+        retained rank, not at the input width: at least its traced peak
+        and within 1.25x of it."""
+        from repro.experiments.guards import MemoryBudget
+
+        rng = np.random.default_rng(17)
+        u = rng.normal(size=(262_026, 22)) @ rng.normal(size=(22, 44))
+        v = rng.normal(size=(9_930, 22)) @ rng.normal(size=(22, 44))
+        u[rng.random(u.shape[0]) < 0.3] = 0.0  # zero rows, as on ``mmap``
+        factors = LowRankFactors(u.astype(dtype), v.astype(dtype))
+        del u, v
+        context = ExecutionContext(memory=MemoryBudget().ledger())
+        with MemoryTracker() as tracker:
+            compact = factors.recompressed(1e-8, context=context)
+        assert compact.width == 22
+        charge = context.memory.peak_bytes
+        assert tracker.peak_bytes <= charge <= 1.25 * tracker.peak_bytes, (
+            charge / tracker.peak_bytes
+        )
+        assert context.memory.held_bytes == 0
 
 
 # ----------------------------------------------------------------------

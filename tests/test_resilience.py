@@ -37,6 +37,7 @@ from repro.runtime.resilience import (
     RetryPolicy,
     atomic_write,
     content_checksum,
+    write_npz,
 )
 
 
@@ -120,6 +121,100 @@ class TestContentChecksum:
             reference.update(part)
         reference.update(array.tobytes())
         assert content_checksum({"x": value}) == reference.hexdigest()
+
+
+class TestWriteNpz:
+    @staticmethod
+    def _members():
+        rng = np.random.default_rng(4)
+        u = rng.normal(size=(50, 6))
+        u[::3] = 0.0  # zero rows, as in a factor
+        return {
+            "u": u,
+            "v": rng.normal(size=(20, 6)).astype(np.float32),
+            "log_scale": np.float64(74.8),
+            "dtype": np.str_("float32"),
+            "metadata_json": '{"n_a": 50, "name": "graph-\u00e9"}',
+            "checksum": np.str_("ab" * 32),
+            "empty": np.empty((0, 4)),
+            "fortran": np.asfortranarray(rng.normal(size=(7, 3))),
+        }
+
+    def test_np_load_round_trip(self, tmp_path):
+        members = self._members()
+        path = tmp_path / "a.npz"
+        write_npz(path, members)
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive.files == list(members)
+            for name, value in members.items():
+                expected = np.asarray(value)
+                loaded = archive[name]
+                assert loaded.dtype == expected.dtype, name
+                assert loaded.shape == expected.shape, name
+                np.testing.assert_array_equal(loaded, expected)
+            assert archive["fortran"].flags.f_contiguous
+
+    def test_same_arrays_as_savez_compressed(self, tmp_path):
+        members = self._members()
+        write_npz(tmp_path / "new.npz", members)
+        np.savez_compressed(tmp_path / "old.npz", **members)
+        with np.load(tmp_path / "new.npz") as new, np.load(tmp_path / "old.npz") as old:
+            assert new.files == old.files
+            for name in old.files:
+                assert new[name].dtype == old[name].dtype
+                np.testing.assert_array_equal(new[name], old[name])
+
+    def test_zip64_members_verify(self, tmp_path):
+        import struct
+        import zipfile
+
+        path = tmp_path / "a.npz"
+        write_npz(path, self._members())
+        blob = path.read_bytes()
+        with zipfile.ZipFile(path) as archive:
+            assert archive.testzip() is None
+            for info in archive.infolist():
+                assert info.compress_type == zipfile.ZIP_DEFLATED
+                with archive.open(info) as member:
+                    assert len(member.read()) == info.file_size
+                # The local header holds 0xFFFFFFFF sizes, the real ones in
+                # its zip64 extra field, and the same CRC32.
+                (crc, compressed, size, name_len, extra_len) = struct.unpack_from(
+                    "<IIIHH", blob, info.header_offset + 14
+                )
+                assert (crc, compressed, size) == (info.CRC, 0xFFFFFFFF, 0xFFFFFFFF)
+                extra = info.header_offset + 30 + name_len
+                tag, length, file_size, compress_size = struct.unpack_from(
+                    "<HHQQ", blob, extra
+                )
+                assert (tag, length, extra_len) == (1, 16, 20)
+                assert (file_size, compress_size) == (info.file_size, info.compress_size)
+                assert info.filename == blob[extra - name_len : extra].decode()
+
+    def test_same_content_same_bytes(self, tmp_path):
+        write_npz(tmp_path / "a.npz", self._members())
+        write_npz(tmp_path / "b.npz", self._members())
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_zero_runs_collapse(self, tmp_path):
+        path = tmp_path / "zeros.npz"
+        write_npz(path, {"z": np.zeros((4096, 64))})
+        assert path.stat().st_size < 64 * 1024  # 2 MiB raw
+
+    def test_peak_does_not_grow_with_the_member(self, tmp_path):
+        # Members stream through numpy's 16 MiB chunks: doubling a member
+        # from 20 to 40 MiB must not raise the peak, as holding its bytes
+        # or its deflated stream (about its size) would.
+        from repro.utils.memory import MemoryTracker
+
+        peaks = []
+        for size in (5 << 19, 5 << 20):
+            member = np.random.default_rng(5).normal(size=size)
+            with MemoryTracker() as tracker:
+                write_npz(tmp_path / "big.npz", {"big": member})
+            peaks.append(tracker.peak_bytes)
+            del member
+        assert peaks[1] <= peaks[0] + (2 << 20), peaks
 
 
 # ----------------------------------------------------------------------
@@ -211,6 +306,26 @@ class TestCheckpointManager:
         assert snapshot.step == 4
         assert np.array_equal(snapshot.arrays["u"], arrays["u"])
         assert snapshot.meta == {"kind": "factors", "log_scale": 1.5}
+
+    def test_loaded_arrays_are_writable_and_equal(self, tmp_path):
+        # A resumed build may update the loaded factors in place.
+        manager = CheckpointManager(tmp_path)
+        rng = np.random.default_rng(1)
+        arrays = {
+            "u": rng.normal(size=(6, 3)),
+            "v": rng.normal(size=(4, 3)).astype(np.float32),
+            "z": np.asfortranarray(rng.normal(size=(3, 5))),
+        }
+        manager.save(2, arrays)
+        snapshot = manager.load(2)
+        assert set(snapshot.arrays) == set(arrays)
+        for name, saved in arrays.items():
+            loaded = snapshot.arrays[name]
+            assert loaded.dtype == saved.dtype
+            np.testing.assert_array_equal(loaded, saved)
+            assert loaded.flags.writeable
+            loaded += 1.0
+        np.testing.assert_array_equal(manager.load(2).arrays["u"], arrays["u"])
 
     def test_reserved_names_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="reserved"):

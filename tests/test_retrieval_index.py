@@ -64,6 +64,57 @@ class TestPersistence:
             loaded.query([0, 1], [2]), index.query([0, 1], [2])
         )
 
+    @staticmethod
+    def _content(index):
+        import json
+        from dataclasses import asdict
+
+        factors = index.factors
+        return {
+            "u": factors.u,
+            "v": factors.v,
+            "log_scale": np.float64(factors.log_scale),
+            "dtype": np.str_(factors.dtype.name),
+            "metadata_json": json.dumps(asdict(index.metadata)),
+        }
+
+    def test_saved_members_and_checksum(self, index, tmp_path):
+        # Plain np.load reads the members; the stored checksum is the
+        # content checksum of what was saved.
+        from repro.runtime.resilience import content_checksum
+
+        path = tmp_path / "index.npz"
+        index.save(path)
+        content = self._content(index)
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive.files == [*content, "checksum"]
+            for name in ("u", "v", "log_scale"):
+                assert archive[name].dtype == content[name].dtype
+                np.testing.assert_array_equal(archive[name], content[name])
+            assert str(archive["checksum"]) == content_checksum(content)
+        loaded = GSimIndex.load(path).factors
+        np.testing.assert_array_equal(loaded.u, index.factors.u)
+        np.testing.assert_array_equal(loaded.v, index.factors.v)
+        assert loaded.log_scale == index.factors.log_scale
+
+    def test_savez_compressed_v3_index_loads(self, index, tmp_path):
+        # v3 indexes written by np.savez_compressed keep loading.
+        from repro.runtime.resilience import content_checksum
+
+        content = self._content(index)
+        path = tmp_path / "v3.npz"
+        np.savez_compressed(
+            path,
+            **{**content, "metadata_json": np.str_(content["metadata_json"])},
+            checksum=np.str_(content_checksum(content)),
+        )
+        loaded = GSimIndex.load(path)
+        assert loaded.metadata == index.metadata
+        np.testing.assert_array_equal(loaded.factors.u, index.factors.u)
+        np.testing.assert_array_equal(
+            loaded.query([0, 1], [2, 3]), index.query([0, 1], [2, 3])
+        )
+
     def test_wrong_file_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, whatever=np.ones(2))
