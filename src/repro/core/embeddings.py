@@ -215,8 +215,8 @@ class LowRankFactors:
         behaviour, so integer or list inputs still become exact floats).
     truncation:
         Optional :class:`TruncationInfo` describing how these factors
-        were produced; carried along by :meth:`rescaled` / :meth:`astype`
-        and recorded by persistence layers.
+        were produced; carried along by :meth:`astype` and recorded by
+        persistence layers.
 
     The constructor copies nothing when dtypes already match; callers
     hand over ownership of the arrays.
@@ -410,31 +410,6 @@ class LowRankFactors:
         if include_scale and self.log_scale != 0.0:
             block *= math.exp(self.log_scale)
         return block
-
-    # ------------------------------------------------------------------
-    # Conditioning
-    # ------------------------------------------------------------------
-    def rescaled(self) -> "LowRankFactors":
-        """Return an equivalent representation with factor magnitudes ~1.
-
-        Divides each factor by its max absolute entry and folds the product
-        of the two divisors into ``log_scale``.  Applied once per iteration
-        by the solver to keep the float range bounded over hundreds of
-        iterations.
-        """
-        max_u = float(np.abs(self.u).max(initial=0.0))
-        max_v = float(np.abs(self.v).max(initial=0.0))
-        if max_u == 0.0 or max_v == 0.0:
-            return LowRankFactors(
-                self.u.copy(), self.v.copy(), self.log_scale,
-                truncation=self.truncation,
-            )
-        return LowRankFactors(
-            self.u / max_u,
-            self.v / max_v,
-            self.log_scale + math.log(max_u) + math.log(max_v),
-            truncation=self.truncation,
-        )
 
     def compressed(self) -> "LowRankFactors":
         """Losslessly shrink the width to ``min(width, n_rows, n_cols)``.

@@ -76,6 +76,7 @@ every downstream score.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -85,8 +86,9 @@ import scipy.sparse as sp
 
 from repro.core.embeddings import LowRankFactors, TruncationInfo
 from repro.graphs.graph import Graph
+from repro.graphs.mmap_csr import csr_from_arrays
 from repro.runtime import NULL_CONTEXT, ExecutionContext
-from repro.runtime.parallel import WorkerPool, shard_rows_by_nnz
+from repro.runtime.parallel import WorkerPool
 from repro.runtime.resilience import Checkpoint, CheckpointManager
 from repro.utils.memory import dense_matrix_bytes
 from repro.utils.validation import check_nonnegative_integer, resolve_node_index
@@ -102,6 +104,11 @@ _PRECISIONS = ("float64", "float32")
 # below 1e-6 — orders of magnitude under the Theorem 4.2 bound on every
 # bench profile, and well under float32 resolution on that path.
 DEFAULT_RECOMPRESS_TOL = 1e-8
+
+# Each chunk task's sparse-times-dense product is a temporary that is
+# copied into its slice of the step's output; this caps its bytes, so a
+# step holds its input, its output and one such product per worker.
+_CHUNK_BYTES = 4 << 20
 
 
 def _as_manager(
@@ -205,15 +212,16 @@ class GSimPlus:
         preallocated step buffer follow the policy).
     max_workers:
         Worker count (or a :class:`repro.runtime.WorkerPool`) for the
-        row-sharded SpMM steps.  The default ``None`` means serial.  Each
-        step is one list of row-range tasks writing into a preallocated
-        output: serially the task list is one task per operand, run
-        inline on the whole CSR matrix; with ``w > 1`` worker threads it
-        is the operands' cached nnz-balanced row slices, run on the
-        pool.  Row sharding never reorders any per-row accumulation, so
-        results are **bit-identical** for every worker count, and
-        memory-mapped graphs (:class:`repro.graphs.mmap_csr.MmapCSRGraph`)
-        are shared with the threads without copying.
+        row-chunked SpMM steps.  The default ``None`` means serial.  Each
+        step is one list of row-chunk tasks writing into a preallocated
+        output, run inline when serial and on the pool's threads
+        otherwise.  A chunk is a zero-copy CSR view of an operand's rows
+        (only its ``indptr`` is rebased) whose product is at most
+        ``_CHUNK_BYTES``, with at least one chunk per worker.  Chunking
+        never reorders any per-row accumulation, so results are
+        **bit-identical** for every worker count, and memory-mapped
+        graphs (:class:`repro.graphs.mmap_csr.MmapCSRGraph`) are shared
+        with the threads without copying.
 
     Examples
     --------
@@ -285,9 +293,6 @@ class GSimPlus:
             None if recompress_tol is None else float(recompress_tol)
         )
         self._pool = WorkerPool.resolve(max_workers)
-        # operand names -> [(start, stop, *row slices)], cut on the first
-        # parallel step and reused every iteration thereafter.
-        self._shard_cache: dict[tuple[str, ...], list[tuple]] = {}
         self._initial = self._resolve_initial(initial_factors)
 
     def _resolve_initial(
@@ -354,30 +359,27 @@ class GSimPlus:
         )
         return array
 
-    def _shards(self, context: ExecutionContext, *names: str) -> list[tuple]:
-        """Row shards ``(start, stop, *rows)`` of same-shaped CSR operands.
+    def _chunks(self, rows: int, width: int) -> list[tuple[int, int]]:
+        """Row ranges of ``rows`` whose ``width``-wide products stay within
+        ``_CHUNK_BYTES``, and at least one range per worker."""
+        step = min(
+            max(_CHUNK_BYTES // (width * self._dtype.itemsize), 1),
+            -(-rows // self._pool.max_workers),
+        )
+        return [(start, min(start + step, rows)) for start in range(0, rows, step)]
 
-        Serially there is one shard: the operands themselves, with no CSR
-        row-slice copy.  Otherwise the rows are cut where the
-        operands' combined nnz balances across the workers; slicing a CSR
-        by rows copies the slice, so the cuts are made once per solver
-        (not once per iteration) and cached.  Every later use of a cached
-        entry counts in ``gsim_plus.shard_cache_hits``.
-        """
-        matrices = [self._operands[name] for name in names]
-        if self._pool.serial:
-            return [(0, matrices[0].shape[0], *matrices)]
-        cached = self._shard_cache.get(names)
-        if cached is not None:
-            context.metrics.increment("gsim_plus.shard_cache_hits")
-            return cached
-        nnz = sum(np.asarray(m.indptr, dtype=np.int64) for m in matrices)
-        cached = [
-            (start, stop, *(m[start:stop] for m in matrices))
-            for start, stop in shard_rows_by_nnz(nnz, self._pool.max_workers)
-        ]
-        self._shard_cache[names] = cached
-        return cached
+    def _rows(self, name: str, start: int, stop: int) -> sp.csr_matrix:
+        """Rows ``start:stop`` of an operand as a CSR view: ``indices``
+        and ``data`` are sliced without a copy; only ``indptr`` is rebased."""
+        matrix = self._operands[name]
+        indptr = matrix.indptr[start : stop + 1]
+        first, last = int(indptr[0]), int(indptr[-1])
+        return csr_from_arrays(
+            indptr - first,
+            matrix.indices[first:last],
+            matrix.data[first:last],
+            (stop - start, matrix.shape[1]),
+        )
 
     def _run(
         self,
@@ -386,7 +388,7 @@ class GSimPlus:
         context: ExecutionContext,
         what: str,
     ) -> None:
-        """Run one stage's shard tasks: inline and unobserved when the
+        """Run one stage's chunk tasks: inline and unobserved when the
         pool is serial, else on the pool's threads (which checkpoint the
         context per shard and record ``parallel.*`` metrics and spans)."""
         if self._pool.serial:
@@ -403,41 +405,78 @@ class GSimPlus:
         the step and still run out of memory inside it."""
         return 5 * dense_matrix_bytes(self.n_a, self.n_b, self._dtype.itemsize)
 
+    def _step_bytes(self, factors: LowRankFactors) -> int:
+        """Bytes one :meth:`_step_factors` call holds above its input: the
+        new pair, plus one chunk product and its rebased ``indptr`` per
+        worker."""
+        width = factors.width
+        rows = self._chunks(max(self.n_a, self.n_b), width)[0][1]  # a largest
+        index_bytes = max(m.indptr.itemsize for m in self._operands.values())
+        chunk = rows * width * factors.dtype.itemsize + (rows + 1) * index_bytes
+        return 2 * factors.nbytes + self._pool.max_workers * chunk
+
     def _step_factors(
         self, factors: LowRankFactors, context: ExecutionContext = NULL_CONTEXT
     ) -> LowRankFactors:
         """One Eq.(8)/(9) doubling step in factored form (lines 3-5).
 
-        Each task writes ``M[start:stop] @ dense`` into its rows and
-        column half of one preallocated ``(n, 2w)`` output (no
-        ``np.hstack`` re-copy).  Each output row is a fixed-order
-        accumulation over one CSR row however the rows are sharded, so
-        the result is bit-identical for every worker count.
+        Each task writes one row chunk's ``M[start:stop] @ dense`` into
+        its rows and column half of one preallocated ``(n, 2w)`` output
+        (no ``np.hstack`` re-copy).  Each output row is a fixed-order
+        accumulation over one CSR row however the rows are chunked, so
+        the result is bit-identical for every worker count.  The numeric
+        guard and the rescale then work in place from each factor's
+        max and min (see :meth:`_max_abs`), so the step holds its input, the
+        new pair and the chunks in flight: :meth:`_step_bytes`, charged
+        to the ledger before anything is allocated.
         """
         width = factors.width
-        new_u = np.empty((self.n_a, 2 * width), dtype=factors.dtype)
-        new_v = np.empty((self.n_b, 2 * width), dtype=factors.dtype)
-        tasks = [
-            (start, stop, shard, dense, out, offset)
-            for name, dense, out, offset in (
-                ("a", factors.u, new_u, 0),
-                ("a_t", factors.u, new_u, width),
-                ("b", factors.v, new_v, 0),
-                ("b_t", factors.v, new_v, width),
-            )
-            for start, stop, shard in self._shards(context, name)
-        ]
+        with context.holding(
+            self._step_bytes(factors), f"GSim+ factored step (width {2 * width})"
+        ):
+            new_u = np.empty((self.n_a, 2 * width), dtype=factors.dtype)
+            new_v = np.empty((self.n_b, 2 * width), dtype=factors.dtype)
+            tasks = [
+                (name, start, stop, dense, out, offset)
+                for name, dense, out, offset in (
+                    ("a", factors.u, new_u, 0),
+                    ("a_t", factors.u, new_u, width),
+                    ("b", factors.v, new_v, 0),
+                    ("b_t", factors.v, new_v, width),
+                )
+                for start, stop in self._chunks(out.shape[0], width)
+            ]
 
-        def _product(task: tuple) -> None:
-            start, stop, shard, dense, out, offset = task
-            out[start:stop, offset : offset + width] = shard @ dense
+            def _product(task: tuple) -> None:
+                name, start, stop, dense, out, offset = task
+                out[start:stop, offset : offset + width] = (
+                    self._rows(name, start, stop) @ dense
+                )
 
-        self._run(_product, tasks, context, "GSim+ SpMM shards")
-        context.metrics.increment("gsim_plus.transpose_cache_hits", 2)
-        if self.numeric_guard:
-            new_u = self._healed(new_u, context)
-            new_v = self._healed(new_v, context)
-        return LowRankFactors(new_u, new_v, factors.log_scale).rescaled()
+            self._run(_product, tasks, context, "GSim+ SpMM chunks")
+            context.metrics.increment("gsim_plus.transpose_cache_hits", 2)
+            # Rescale to magnitudes <= 1, folding the divisors into
+            # log_scale, so the float range stays bounded over hundreds of
+            # iterations; a zero factor leaves both as they are.
+            max_u = self._max_abs(new_u, context)
+            max_v = self._max_abs(new_v, context)
+            log_scale = factors.log_scale
+            if max_u != 0.0 and max_v != 0.0:
+                new_u /= max_u
+                new_v /= max_v
+                log_scale = log_scale + math.log(max_u) + math.log(max_v)
+        return LowRankFactors(new_u, new_v, log_scale)
+
+    def _max_abs(self, array: np.ndarray, context: ExecutionContext) -> float:
+        """The largest magnitude in a step's output, ``max(hi, -lo)``, from
+        two reductions and no temporary.  A non-finite one means the
+        update overflowed: with the numeric guard on, the array is
+        repaired (:meth:`_healed`) and reduced again."""
+        hi, lo = array.max(), array.min()
+        if self.numeric_guard and not (np.isfinite(hi) and np.isfinite(lo)):
+            self._healed(array, context)
+            hi, lo = array.max(), array.min()
+        return float(max(hi, -lo))
 
     def _recompress(
         self,
@@ -514,9 +553,9 @@ class GSimPlus:
 
         Stage 1 computes ``P = Z B^T = (B Z^T)^T`` and ``Q = Z B =
         (B^T Z^T)^T``, each task writing the transposed product of a row
-        shard of ``B``/``B^T`` into a column slice, so both are
+        chunk of ``B``/``B^T`` into a column slice, so both are
         C-contiguous for stage 2.  Stage 2 computes rows of ``A P`` and
-        adds ``A^T Q`` in place, over row shards shared by ``A``/``A^T``.
+        adds ``A^T Q`` in place, over row chunks shared by ``A``/``A^T``.
         Every output entry is the same fixed-order accumulation, and the
         same final addition, as the expression
         ``A (B Z^T)^T + A^T (B^T Z^T)^T``, so the result is bit-identical
@@ -527,26 +566,26 @@ class GSimPlus:
         p = np.empty((self.n_a, self.n_b), dtype=z.dtype)
         q = np.empty((self.n_a, self.n_b), dtype=z.dtype)
         stage1 = [
-            (start, stop, shard, out)
+            (name, start, stop, out)
             for name, out in (("b", p), ("b_t", q))
-            for start, stop, shard in self._shards(context, name)
+            for start, stop in self._chunks(self.n_b, self.n_a)
         ]
 
         def _transposed(task: tuple) -> None:
-            start, stop, shard, out = task
-            out[:, start:stop] = (shard @ z_t).T
+            name, start, stop, out = task
+            out[:, start:stop] = (self._rows(name, start, stop) @ z_t).T
 
         self._run(_transposed, stage1, context, "GSim+ dense stage 1")
         del z_t
         updated = np.empty((self.n_a, self.n_b), dtype=z.dtype)
 
         def _pair_sum(task: tuple) -> None:
-            start, stop, a_rows, a_t_rows = task
-            updated[start:stop] = a_rows @ p
-            updated[start:stop] += a_t_rows @ q
+            start, stop = task
+            updated[start:stop] = self._rows("a", start, stop) @ p
+            updated[start:stop] += self._rows("a_t", start, stop) @ q
 
         self._run(
-            _pair_sum, self._shards(context, "a", "a_t"), context,
+            _pair_sum, self._chunks(self.n_a, self.n_b), context,
             "GSim+ dense stage 2",
         )
         return updated
@@ -567,11 +606,12 @@ class GSimPlus:
 
         With an :class:`repro.runtime.ExecutionContext`, every iteration is
         a checkpoint: the deadline and cancellation token are polled, the
-        working set (factor arrays, or the dense iterate plus one step's
-        temporaries once the rank-cap fallback engages) is charged against
-        the live memory budget *before* it is allocated, and the per-step
-        width / spmm counts land in ``context.metrics`` under
-        ``gsim_plus.*``.  Without a context, behaviour is unchanged.
+        working set (the factor pair plus one step's new pair and chunks,
+        or the dense iterate plus one step's temporaries once the rank-cap
+        fallback engages) is charged against the live memory budget
+        *before* it is allocated, and the per-step width / spmm counts
+        land in ``context.metrics`` under ``gsim_plus.*``.  Without a
+        context, behaviour is unchanged.
 
         With a :class:`repro.runtime.Tracer` on the context, every
         iteration additionally records a ``gsim_plus.iterate`` span
@@ -719,6 +759,9 @@ class GSimPlus:
                             dense_log += log_norm
                         else:
                             factors = self._step_factors(factors, context)
+                            # Hold only the new pair; recompression charges
+                            # its phases on top of it.
+                            _account(factors.nbytes, f"GSim+ factors (k={k})")
                             if self.recompress_tol is not None:
                                 factors = self._recompress(factors, k, context)
                                 span.set_attribute(

@@ -135,6 +135,7 @@ _UTF8_NAME = 0x800
 _DEFLATED = 8
 _EPOCH = (1 << 5) | 1  # DOS date 1980-01-01: the same content gives the same bytes
 _MAX32 = 0xFFFFFFFF
+_NPY_CHUNK = 1 << 20  # bytes of a member's buffer per deflate call
 
 
 class _DeflateSink:
@@ -170,6 +171,20 @@ def _local_header(name: bytes, crc: int, size: int, compressed: int) -> bytes:
     return fixed + name + _LOCAL_ZIP64.pack(1, 16, size, compressed)
 
 
+def _write_npy(sink: _DeflateSink, array: np.ndarray) -> None:
+    """The bytes :func:`numpy.lib.format.write_array` writes for
+    ``array``; a C-contiguous array of a plain dtype goes as its header
+    and then 1 MiB memoryview slices of its own buffer, uncopied."""
+    if not (array.flags.c_contiguous and array.dtype.kind in "biufcmMSU"):
+        np.lib.format.write_array(sink, array, allow_pickle=False)
+        return
+    fmt = np.lib.format
+    fmt.write_array_header_1_0(sink, fmt.header_data_from_array_1_0(array))
+    raw = memoryview(array.reshape(-1).view(np.uint8))
+    for start in range(0, len(raw), _NPY_CHUNK):
+        sink.write(raw[start : start + _NPY_CHUNK])
+
+
 def write_npz(path: str | Path, members: Mapping[str, Any]) -> None:
     """Write named arrays to ``path`` as a deflated ``.npz``, streaming.
 
@@ -182,9 +197,13 @@ def write_npz(path: str | Path, members: Mapping[str, Any]) -> None:
     zero bytes still collapse.  The container is always zip64, and every
     member is dated 1980-01-01, so the same content gives the same bytes.
 
-    Each member streams through :func:`numpy.lib.format.write_array` in
-    numpy's chunks, so no whole array, raw or compressed, is copied.  Its
-    local header is patched with its CRC32 and sizes once it is written.
+    Each member streams into the deflate in chunks, so no whole array,
+    raw or compressed, is copied: a C-contiguous array as its ``.npy``
+    header and then slices of its own buffer, any other through
+    :func:`numpy.lib.format.write_array`, which copies each 16 MiB chunk.
+    Deflate's output does not depend on how its input is cut, so both
+    give the same bytes.  Its local header is patched with its CRC32 and
+    sizes once it is written.
 
     >>> import tempfile, pathlib
     >>> path = pathlib.Path(tempfile.mkdtemp()) / "demo.npz"
@@ -200,7 +219,7 @@ def write_npz(path: str | Path, members: Mapping[str, Any]) -> None:
             offset = handle.tell()
             handle.write(_local_header(name, 0, 0, 0))
             sink = _DeflateSink(handle)
-            np.lib.format.write_array(sink, np.asanyarray(value), allow_pickle=False)
+            _write_npy(sink, np.asanyarray(value))
             sink.close()
             end = handle.tell()
             handle.seek(offset)

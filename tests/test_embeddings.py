@@ -108,20 +108,6 @@ class TestQueryBlock:
 
 
 class TestConditioning:
-    def test_rescaled_preserves_matrix(self, rng):
-        f = random_factors(rng)
-        f.u *= 1e100  # force huge magnitudes
-        rescaled = f.rescaled()
-        assert np.abs(rescaled.u).max() <= 1.0
-        np.testing.assert_allclose(
-            rescaled.materialize(), f.materialize(), rtol=1e-10
-        )
-
-    def test_rescaled_zero_matrix_safe(self):
-        f = LowRankFactors(np.zeros((2, 1)), np.zeros((3, 1)))
-        rescaled = f.rescaled()
-        assert rescaled.frobenius_norm() == 0.0
-
     def test_compressed_reduces_width(self, rng):
         # width 10 > min(4, 6): compression must cut to 4.
         f = LowRankFactors(

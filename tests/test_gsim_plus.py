@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Graph, GSimPlus, gsim, gsim_plus
+from repro import Graph, GSimPlus, LowRankFactors, gsim, gsim_plus
 from repro.analysis import frobenius_error
 from repro.graphs import erdos_renyi_graph
 
@@ -89,6 +89,44 @@ class TestAlgorithmMechanics:
         graph_a, graph_b = random_pair
         with pytest.raises(ValueError):
             gsim_plus(graph_a, graph_b, iterations=-1)
+
+
+def _unscaled_step(graph_a, graph_b, u, v):
+    """``[A U | A^T U] [B V | B^T V]^T`` (Eqs. 8-9), materialised."""
+    a, b = graph_a.adjacency, graph_b.adjacency
+    return np.hstack([a @ u, a.T @ u]) @ np.hstack([b @ v, b.T @ v]).T
+
+
+class TestStepConditioning:
+    """Each factored step rescales its new pair in place: magnitudes at
+    most 1, the divisors folded into ``log_scale``."""
+
+    def test_step_rescale_preserves_product(self, random_pair):
+        graph_a, graph_b = random_pair
+        rng = np.random.default_rng(3)
+        solver = GSimPlus(graph_a, graph_b)
+        u = rng.standard_normal((solver.n_a, 3)) * 1e100  # huge magnitudes
+        v = rng.standard_normal((solver.n_b, 3))
+        stepped = solver._step_factors(LowRankFactors(u, v, 2.0))
+        assert np.abs(stepped.u).max() == 1.0
+        assert np.abs(stepped.v).max() == 1.0
+        expected = _unscaled_step(graph_a, graph_b, u, v) * np.exp(2.0)
+        np.testing.assert_allclose(
+            stepped.materialize(), expected,
+            rtol=1e-10, atol=1e-12 * np.abs(expected).max(),
+        )
+
+    def test_zero_step_stays_zero(self, random_pair):
+        graph_a, graph_b = random_pair
+        solver = GSimPlus(graph_a, graph_b)
+        v = np.random.default_rng(4).standard_normal((solver.n_b, 2))
+        zero = LowRankFactors(np.zeros((solver.n_a, 2)), v, 1.5)
+        stepped = solver._step_factors(zero)
+        assert stepped.log_scale == 1.5
+        assert not stepped.u.any()
+        assert stepped.frobenius_norm() == 0.0
+        b = graph_b.adjacency
+        np.testing.assert_array_equal(stepped.v, np.hstack([b @ v, b.T @ v]))
 
 
 class TestQueries:

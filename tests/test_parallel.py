@@ -8,13 +8,15 @@ step with pinned BLAS thread counts.  The load-bearing claims:
   ``max_workers`` in {1, 2, 4};
 * cancellation and deadline expiry propagate out of worker threads as
   the same structured exceptions the serial path raises;
-* the bounded-memory scans stay within their ledger budget, and one
+* the bounded-memory scans stay within their ledger budget, one
   dense fallback step holds at most about four ``|Z|``-sized arrays at
-  any worker count.
+  any worker count, and one factored step holds at most 1.1x its new
+  factor pair above its input.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -193,35 +195,20 @@ class TestFactorStepEquivalence:
         context = ExecutionContext()
         GSimPlus(graph_a, graph_b, max_workers=2).run(6, context=context)
         counters = context.metrics.snapshot()["counters"]
-        assert counters["gsim_plus.shard_cache_hits"] > 0
         assert counters["gsim_plus.transpose_cache_hits"] > 0
 
-    def test_shard_cache_hits_count_reuse_only(self):
-        """The first step cuts and stores the slices (no hit); every
-        later step reuses the four cached operand entries."""
-        graph_a = rmat_graph(6, 256, seed=3, name="A")
-        graph_b = rmat_graph(5, 128, seed=4, name="B")
-        for steps, hits in ((1, 0), (2, 4)):
-            context = ExecutionContext()
-            GSimPlus(graph_a, graph_b, max_workers=2).run(steps, context=context)
-            assert context.metrics.counter("gsim_plus.shard_cache_hits") == hits
-
     def test_serial_steps_run_inline(self, graph_pair):
-        """A serial solver runs every step inline on the whole operands:
-        no shard cache, no pool metrics or spans, and one checkpoint per
-        iteration, through both the factor and the dense steps."""
+        """A serial solver runs every step's chunk tasks inline: no pool
+        metrics or spans, and one checkpoint per iteration, through both
+        the factor and the dense steps."""
         graph_a, graph_b = graph_pair
         injector = FaultInjector(probability=0.0)
         tracer = Tracer()
         context = ExecutionContext(fault_injector=injector, tracer=tracer)
         solver = GSimPlus(graph_a, graph_b)
         assert solver.run(10, context=context).used_dense_fallback
-        assert solver._shard_cache == {}
         counters = context.metrics.snapshot()["counters"]
-        assert not [
-            name for name in counters
-            if name.startswith("parallel.") or name == "gsim_plus.shard_cache_hits"
-        ]
+        assert not [name for name in counters if name.startswith("parallel.")]
         assert {span.name for span in tracer.spans()} == {"gsim_plus.iterate"}
         assert injector.checkpoints_seen == 10
 
@@ -235,12 +222,41 @@ class TestFactorStepEquivalence:
         z = np.random.default_rng(0).random((600, 400))
         for workers in WORKER_COUNTS:
             solver = GSimPlus(graph_a, graph_b, max_workers=workers)
-            solver._step_dense(z)  # cuts and caches the CSR row shards
+            solver._step_dense(z)  # warm-up
             with MemoryTracker() as tracker:
                 solver._step_dense(z)
             assert tracker.peak_bytes <= 4.5 * z.nbytes, (
                 workers, tracker.peak_bytes / z.nbytes
             )
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_factor_step_peak_memory_bounded(self, monkeypatch, workers):
+        """One factored step holds its input, the new pair and one chunk
+        product per worker: above its input, its traced peak stays within
+        the ledger charge (the input, held as ``iterate`` holds it, plus
+        the step's own charge) and within 1.1x the new pair."""
+        # Small chunks, so that four of them in flight stay small beside
+        # this graph's new pair (5.9 MB), as 4 MiB chunks do on paper-sized
+        # factors.
+        solver_module = sys.modules[GSimPlus.__module__]
+        monkeypatch.setattr(solver_module, "_CHUNK_BYTES", 64 << 10)
+        graph_a = erdos_renyi_graph(20000, 40000, seed=23)
+        graph_b = erdos_renyi_graph(3000, 6000, seed=24)
+        solver = GSimPlus(graph_a, graph_b, max_workers=workers)
+        factors = LowRankFactors.ones(solver.n_a, solver.n_b)
+        for _ in range(4):
+            factors = solver._step_factors(factors)
+        context = ExecutionContext(memory=MemoryLedger(1 << 30))
+        with context.holding(factors.nbytes, "input pair"):
+            with MemoryTracker() as tracker:
+                stepped = solver._step_factors(factors, context)
+        charge = context.memory.peak_bytes
+        assert charge == factors.nbytes + solver._step_bytes(factors)
+        assert stepped.width == 32
+        assert tracker.peak_bytes <= charge, (workers, tracker.peak_bytes, charge)
+        assert tracker.peak_bytes <= 1.1 * stepped.nbytes, (
+            workers, tracker.peak_bytes / stepped.nbytes
+        )
 
 
 # ----------------------------------------------------------------------

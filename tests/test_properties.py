@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro import Graph, LowRankFactors, gsim, gsim_plus
+from repro import Graph, GSimPlus, LowRankFactors, gsim, gsim_plus
 from repro.analysis import frobenius_error
 from repro.graphs import (
     convert_edge_list,
@@ -78,6 +78,24 @@ def factors(draw):
         )
     ).reshape(m, w)
     return LowRankFactors(u, v)
+
+
+@st.composite
+def step_inputs(draw):
+    """A random graph pair and factors of matching row counts."""
+    graph_a, graph_b = draw(graph_pairs())
+    width = draw(st.integers(1, 4))
+
+    def factor(rows):
+        values = st.floats(-10, 10, allow_nan=False)
+        cells = draw(st.lists(values, min_size=rows * width, max_size=rows * width))
+        return np.array(cells).reshape(rows, width)
+
+    return (
+        graph_a,
+        graph_b,
+        LowRankFactors(factor(graph_a.num_nodes), factor(graph_b.num_nodes)),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -141,12 +159,21 @@ class TestFactorAlgebraProperty:
         assert abs(f.frobenius_norm() - dense_norm) <= 1e-8 * (1 + dense_norm)
 
     @_settings
-    @given(f=factors())
-    def test_rescaled_is_equivalent(self, f):
-        rescaled = f.rescaled()
+    @given(inputs=step_inputs())
+    def test_step_is_equivalent(self, inputs):
+        graph_a, graph_b, f = inputs
+        stepped = GSimPlus(graph_a, graph_b)._step_factors(f)
+        a, b = graph_a.adjacency, graph_b.adjacency
+        left = np.hstack([a @ f.u, a.T @ f.u])
+        right = np.hstack([b @ f.v, b.T @ f.v])
+        # Rounding is relative to the largest term of a dot product.
+        terms = np.abs(left).max() * np.abs(right).max() * left.shape[1]
         np.testing.assert_allclose(
-            rescaled.materialize(), f.materialize(), rtol=1e-9, atol=1e-9
+            stepped.materialize(), left @ right.T, rtol=1e-9, atol=1e-12 * terms
         )
+        if stepped.u.any() and stepped.v.any():  # else neither is divided
+            assert np.abs(stepped.u).max() == 1.0
+            assert np.abs(stepped.v).max() == 1.0
 
     @_settings
     @given(f=factors())

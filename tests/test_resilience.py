@@ -9,10 +9,13 @@ its exactly round-tripped state, so any drift is a bug.
 from __future__ import annotations
 
 import hashlib
+import math
+import sys
 
 import numpy as np
 import pytest
 
+from repro.core.embeddings import LowRankFactors
 from repro.core.gsim_plus import GSimPlus, gsim_plus
 from repro.experiments.journal import RunJournal
 from repro.experiments.runner import (
@@ -195,6 +198,27 @@ class TestWriteNpz:
         write_npz(tmp_path / "a.npz", self._members())
         write_npz(tmp_path / "b.npz", self._members())
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_same_bytes_as_write_array(self, tmp_path, monkeypatch):
+        # C-contiguous members go as slices of their own buffers; the
+        # archive must be the one that streaming every member through
+        # numpy's write_array gives, byte for byte.
+        members = {
+            **self._members(),
+            "big": np.random.default_rng(6).normal(size=(300_000,)),  # > 1 chunk
+            "scalar": np.asarray(2.5),
+        }
+        write_npz(tmp_path / "sliced.npz", members)
+        monkeypatch.setattr(
+            sys.modules[write_npz.__module__], "_write_npy",
+            lambda sink, array: np.lib.format.write_array(
+                sink, array, allow_pickle=False
+            ),
+        )
+        write_npz(tmp_path / "copied.npz", members)
+        assert (tmp_path / "sliced.npz").read_bytes() == (
+            tmp_path / "copied.npz"
+        ).read_bytes()
 
     def test_zero_runs_collapse(self, tmp_path):
         path = tmp_path / "zeros.npz"
@@ -602,6 +626,34 @@ class TestNumericGuard:
         repaired = counters.get("gsim_plus.nonfinite_repairs", 0)
         rescued = counters.get("gsim_plus.norm_rescales", 0)
         assert repaired + rescued > 0
+
+    def test_step_repairs_nonfinite_entries(self):
+        """A factored step whose products overflow clamps each +-inf to
+        the largest finite magnitude in its factor, counts every repaired
+        entry in ``gsim_plus.nonfinite_repairs``, then rescales."""
+        graph_a, graph_b = self._explosive_pair()
+        u = np.array([[4.0, 0.25], [-4.0, 0.5], [0.5, 2.0]])
+        v = np.array([[0.5, -3.0], [2.0, 0.25]])
+        metrics = Metrics()
+        stepped = GSimPlus(graph_a, graph_b)._step_factors(
+            LowRankFactors(u, v), ExecutionContext(metrics=metrics)
+        )
+        expected, repaired, log_scale = [], 0, 0.0
+        for graph, factor in ((graph_a, u), (graph_b, v)):
+            with np.errstate(over="ignore"):
+                raw = np.hstack(
+                    [graph.adjacency @ factor, graph.adjacency_t @ factor]
+                )
+            finite = np.isfinite(raw)
+            repaired += int(raw.size - finite.sum())
+            cap = np.abs(raw[finite]).max()
+            peak = np.abs(np.clip(raw, -cap, cap)).max()
+            expected.append(np.clip(raw, -cap, cap) / peak)
+            log_scale += math.log(peak)
+        assert metrics.counter("gsim_plus.nonfinite_repairs") == repaired == 10
+        np.testing.assert_array_equal(stepped.u, expected[0])
+        np.testing.assert_array_equal(stepped.v, expected[1])
+        assert stepped.log_scale == log_scale
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_guard_can_be_disabled(self):

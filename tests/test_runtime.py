@@ -260,12 +260,14 @@ class TestGSimPlusUnderContext:
         assert partial["counters"]["gsim_plus.iterations"] == 1
 
     def test_memory_budget_converts_dense_fallback_to_structured_oom(self):
-        # Factored working sets for n_a=12, n_b=8: (12+8)*width*8 bytes,
-        # peaking at 1280 B at width 8.  The dense fallback then needs
-        # 5*12*8*8 = 3840 B, so a 1400 B ceiling admits every factored
+        # A factored step from width w holds its input pair (12+8)*w*8,
+        # the new pair at twice that and one chunk product 12*w*8 with its
+        # rebased indptr (13 int32): 576*w + 52 B, peaking at 2356 B on
+        # the step from width 4 to 8.  The dense fallback then needs
+        # 5*12*8*8 = 3840 B, so a 2400 B ceiling admits every factored
         # step and rejects exactly the dense hand-over.
         a, b = _ring(12, seed=1), _ring(8, seed=2)
-        context = ExecutionContext.start(memory_limit_bytes=1400)
+        context = ExecutionContext.start(memory_limit_bytes=2400)
         with pytest.raises(MemoryBudgetExceeded, match="dense rank-cap") as excinfo:
             gsim_plus(a, b, iterations=6, rank_cap="dense", context=context)
         partial = excinfo.value.metrics
@@ -274,18 +276,18 @@ class TestGSimPlusUnderContext:
         assert context.memory is not None
         assert context.memory.held_bytes == 0
         # The same run fits in factored form when the cap never engages.
-        roomy = ExecutionContext.start(memory_limit_bytes=1400)
+        roomy = ExecutionContext.start(memory_limit_bytes=2400)
         result = gsim_plus(a, b, iterations=3, rank_cap="none", context=roomy)
         assert result.final_width == 8
 
     def test_dense_fallback_charges_what_one_step_holds(self):
         # The dense step holds the iterate plus Z^T, P, Q and the update:
-        # 5*12*8*8 = 3840 B.  A 2000 B ceiling admits every factored step
-        # (peak 1280 B) and the iterate plus one update (1536 B), but not
+        # 5*12*8*8 = 3840 B.  A 3000 B ceiling admits every factored step
+        # (peak 2356 B) and the iterate plus one update (1536 B), but not
         # the step's real working set, so the hand-over must fail before
         # the step allocates.
         a, b = _ring(12, seed=1), _ring(8, seed=2)
-        context = ExecutionContext.start(memory_limit_bytes=2000)
+        context = ExecutionContext.start(memory_limit_bytes=3000)
         with pytest.raises(MemoryBudgetExceeded, match="dense rank-cap"):
             gsim_plus(a, b, iterations=6, rank_cap="dense", context=context)
         assert context.metrics.counter("gsim_plus.iterations") == 3
