@@ -428,12 +428,15 @@ class GSimPlus:
         guard and the rescale then work in place from each factor's
         max and min (see :meth:`_max_abs`), so the step holds its input, the
         new pair and the chunks in flight: :meth:`_step_bytes`, charged
-        to the ledger before anything is allocated.
+        to the ledger before anything is allocated, and recorded with the
+        input in the ``gsim_plus.peak_bytes_held`` gauge.
         """
         width = factors.width
-        with context.holding(
-            self._step_bytes(factors), f"GSim+ factored step (width {2 * width})"
-        ):
+        step_bytes = self._step_bytes(factors)
+        context.metrics.record_max(
+            "gsim_plus.peak_bytes_held", factors.nbytes + step_bytes
+        )
+        with context.holding(step_bytes, f"GSim+ factored step (width {2 * width})"):
             new_u = np.empty((self.n_a, 2 * width), dtype=factors.dtype)
             new_v = np.empty((self.n_b, 2 * width), dtype=factors.dtype)
             tasks = [
@@ -489,15 +492,24 @@ class GSimPlus:
         The kernel charges the memory ledger for each of its phases
         (:meth:`~repro.core.embeddings.LowRankFactors.recompression_bytes`)
         before allocating it, so budget breaches surface before the
-        allocation instead of as a MemoryError inside LAPACK.  Truncation
-        metadata lands in ``gsim_plus.*`` metrics and a
-        ``gsim_plus.recompress`` trace event.
+        allocation instead of as a MemoryError inside LAPACK; the larger
+        phase, with the pair it works on, is recorded in the
+        ``gsim_plus.peak_bytes_held`` gauge.  Truncation metadata lands
+        in ``gsim_plus.*`` metrics and a ``gsim_plus.recompress`` trace
+        event.
         """
         assert self.recompress_tol is not None
         width = factors.width
         compact = factors.recompressed(self.recompress_tol, context=context)
         info = compact.truncation
         assert info is not None
+        phase_bytes = max(
+            factors.recompression_bytes(),
+            factors.recompression_bytes(info.retained_rank),
+        )
+        context.metrics.record_max(
+            "gsim_plus.peak_bytes_held", factors.nbytes + phase_bytes
+        )
         context.metrics.increment("gsim_plus.recompressions")
         context.metrics.observe_histogram(
             "gsim_plus.recompress_rank", info.retained_rank

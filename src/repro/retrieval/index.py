@@ -26,6 +26,7 @@ from repro.runtime.resilience import (
     CheckpointManager,
     atomic_write,
     content_checksum,
+    read_npz,
     write_npz,
 )
 from repro.utils.validation import check_positive_integer, resolve_node_index
@@ -117,10 +118,14 @@ class GSimIndex:
         ``checkpoints`` / ``checkpoint_every`` / ``resume_from`` forward
         to :meth:`GSimPlus.iterate`, so an interrupted multi-hour build
         restarts at its last snapshotted iteration instead of from
-        scratch.  ``max_workers`` forwards to the solver's worker threads
-        (row-sharded SpMM; results are bit-identical at every count),
-        which share :class:`repro.graphs.mmap_csr.MmapCSRGraph` inputs
-        without copying them.
+        scratch.  ``max_workers`` is the solver's worker-thread count
+        (row-chunked SpMM; results are bit-identical at every count).
+        The default ``None`` runs one worker per CPU this process may
+        use (:class:`repro.runtime.WorkerPool`), unlike the serial
+        default of :class:`GSimPlus` and :func:`gsim_plus`; ``1`` is
+        serial.  The workers share
+        :class:`repro.graphs.mmap_csr.MmapCSRGraph` inputs without
+        copying them.
         """
         iterations = check_positive_integer(iterations, "iterations")
         if context is None:
@@ -132,7 +137,7 @@ class GSimIndex:
             initial_factors=initial_factors,
             recompress_tol=recompress_tol,
             precision=precision,
-            max_workers=max_workers,
+            max_workers=WorkerPool(max_workers),
         )
         state = None
         with context.operation("index.build", iterations=iterations):
@@ -172,7 +177,8 @@ class GSimIndex:
         """Atomically write factors + metadata to one ``.npz``.
 
         The archive comes from
-        :func:`repro.runtime.resilience.write_npz`: plain
+        :func:`repro.runtime.resilience.write_npz`, which deflates each
+        member as 1 MiB segments on one worker per usable CPU: plain
         :func:`numpy.load` reads it, and every member carries a CRC32.
         The write goes to a sibling temp file published with
         ``os.replace`` and embeds a SHA-256 content checksum, so a crash
@@ -195,6 +201,13 @@ class GSimIndex:
     def load(cls, path: str | Path) -> "GSimIndex":
         """Restore and verify an index written by :meth:`save`.
 
+        The archive is read by :func:`repro.runtime.resilience.read_npz`,
+        which inflates each member's segments in parallel into its array
+        and checks their lengths and the member's CRC32; indexes written
+        by ``np.savez_compressed`` (v1–v3) or before the segment table
+        existed inflate one member at a time.  The SHA-256 checksum is
+        then verified over the loaded content.
+
         Raises ``ValueError`` on missing arrays or a newer metadata
         version than this library understands, and
         :class:`repro.runtime.CorruptArtifactError` when the file is
@@ -202,16 +215,9 @@ class GSimIndex:
         :meth:`build` in that case.
         """
         path = Path(path)
-        wanted = {"u", "v", "log_scale", "dtype", "metadata_json", "checksum"}
         try:
-            with np.load(path, allow_pickle=False) as archive:
-                # Each read returns a fresh array; no copy needed.
-                arrays = {
-                    name: archive[name] for name in archive.files if name in wanted
-                }
-        except FileNotFoundError:
-            raise
-        except Exception as exc:  # truncated zip, bad CRC, bad header...
+            arrays = read_npz(path)
+        except CorruptArtifactError as exc:
             raise CorruptArtifactError(
                 f"cannot read GSimIndex file {path} ({exc}); the artifact "
                 "is corrupt — rebuild it with GSimIndex.build",

@@ -6,8 +6,11 @@ into *shards* whose results are merged deterministically.  This module
 provides the one pool abstraction they all share:
 
 * :class:`WorkerPool` — a thread pool with an explicit serial mode
-  (``max_workers=1`` executes shards inline in the calling thread, the
-  default everywhere: no entry point spawns workers unless asked).
+  (``max_workers=1`` executes shards inline in the calling thread).
+  Serial is the default of every entry point that takes ``max_workers``
+  except :meth:`repro.retrieval.index.GSimIndex.build`, which, like the
+  index archive's codec (:func:`repro.runtime.resilience.write_npz` and
+  ``read_npz``), runs one worker per usable CPU.
   BLAS-backed dense GEMMs and scipy's sparse-times-dense kernels release
   the GIL, so threads give real parallelism on those paths with zero
   serialisation cost, and workers share the caller's arrays (including
@@ -45,8 +48,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -58,6 +62,14 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 _SKIPPED = object()  # sentinel: shard short-circuited after an earlier error
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one (``os.cpu_count()`` ignores affinity and cpusets)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
 
 def shard_ranges(total: int, num_shards: int) -> list[tuple[int, int]]:
@@ -121,9 +133,12 @@ class WorkerPool:
     Parameters
     ----------
     max_workers:
-        Worker thread count.  ``None`` resolves to ``os.cpu_count()``;
-        ``1`` is the serial mode (shards run inline, in order, in the
-        calling thread — the determinism-debugging configuration).
+        Worker thread count.  ``None`` resolves to the CPUs this process
+        may run on (its affinity mask where the platform reports one, so
+        a process pinned to 2 of 64 CPUs gets 2 workers, else
+        ``os.cpu_count()``); ``1`` is the serial mode (shards run inline,
+        in order, in the calling thread — the determinism-debugging
+        configuration).
 
     Examples
     --------
@@ -138,7 +153,7 @@ class WorkerPool:
 
     def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is None:
-            max_workers = os.cpu_count() or 1
+            max_workers = _usable_cpus()
         if not isinstance(max_workers, (int, np.integer)) or isinstance(
             max_workers, bool
         ):
@@ -151,8 +166,9 @@ class WorkerPool:
     def resolve(cls, workers: "WorkerPool | int | None") -> "WorkerPool":
         """Normalise an entry-point argument into a pool.
 
-        ``None`` means *serial* (the library never threads unless asked),
-        an int is a worker count, and an existing pool passes through.
+        ``None`` means *serial* (the default of every entry point that
+        resolves its argument here), an int is a worker count, and an
+        existing pool passes through.
         """
         if isinstance(workers, cls):
             return workers
@@ -219,6 +235,35 @@ class WorkerPool:
             if first_error is not None:
                 raise first_error
             return results
+
+    def imap(
+        self, fn: Callable[[T], R], items: Iterable[T], in_flight: int
+    ) -> Iterator[R]:
+        """Yield ``fn(item)`` for every item, in item order.
+
+        Items are drawn lazily, in the consuming thread, at most
+        ``in_flight`` ahead of the last result yielded, so a long stream
+        of large results stays in bounded memory while the consumer works
+        on one result and the workers on the next ones.  A serial pool
+        computes each result inline when it is asked for.  A failing
+        item's exception is raised when its result is reached; items not
+        yet started are cancelled.
+        """
+        if self.serial:
+            yield from (fn(item) for item in items)
+            return
+        with ThreadPoolExecutor(max_workers=self.max_workers) as executor:
+            pending: deque[Future[R]] = deque()
+            try:
+                for item in items:
+                    pending.append(executor.submit(fn, item))
+                    if len(pending) >= in_flight:
+                        yield pending.popleft().result()
+                while pending:
+                    yield pending.popleft().result()
+            finally:
+                for future in pending:
+                    future.cancel()
 
     @staticmethod
     def _run_shard(

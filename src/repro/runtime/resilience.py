@@ -25,12 +25,15 @@ graphs all build on them.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import math
 import os
 import random
 import struct
 import time
 import warnings
+import zipfile
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -48,6 +51,7 @@ from repro.runtime.errors import (
     MemoryBudgetExceeded,
     TransientError,
 )
+from repro.runtime.parallel import WorkerPool
 
 __all__ = [
     "Checkpoint",
@@ -56,6 +60,7 @@ __all__ = [
     "RetryPolicy",
     "atomic_write",
     "content_checksum",
+    "read_npz",
     "write_npz",
 ]
 
@@ -125,7 +130,7 @@ def content_checksum(items: Mapping[str, Any]) -> str:
 # zip64 extra field, so neither a member nor the archive is capped at 4 GiB.
 _LOCAL = struct.Struct("<IHHHHHIIIHH")  # then the name and _LOCAL_ZIP64
 _LOCAL_ZIP64 = struct.Struct("<HHQQ")  # sizes
-_CENTRAL = struct.Struct("<IHHHHHHIIIHHHHHII")  # then the name and _CENTRAL_ZIP64
+_CENTRAL = struct.Struct("<IHHHHHHIIIHHHHHII")  # then the name and both extras
 _CENTRAL_ZIP64 = struct.Struct("<HHQQQ")  # sizes, local header offset
 _END64 = struct.Struct("<IQHHIIQQQQ")
 _END64_LOCATOR = struct.Struct("<IIQI")
@@ -135,32 +140,19 @@ _UTF8_NAME = 0x800
 _DEFLATED = 8
 _EPOCH = (1 << 5) | 1  # DOS date 1980-01-01: the same content gives the same bytes
 _MAX32 = 0xFFFFFFFF
-_NPY_CHUNK = 1 << 20  # bytes of a member's buffer per deflate call
 
-
-class _DeflateSink:
-    """A write-only stream that deflates into ``handle``, tracking CRC32
-    and both sizes."""
-
-    def __init__(self, handle: BinaryIO) -> None:
-        self._handle = handle
-        # Run-length strategy: no match search, but runs of zeros collapse.
-        self._deflate = zlib.compressobj(1, zlib.DEFLATED, -15, 8, zlib.Z_RLE)
-        self.crc = 0
-        self.size = 0
-        self.compressed = 0
-
-    def write(self, data: bytes) -> None:
-        self.crc = zlib.crc32(data, self.crc)
-        self.size += len(data)
-        self._emit(self._deflate.compress(data))
-
-    def close(self) -> None:
-        self._emit(self._deflate.flush())
-
-    def _emit(self, block: bytes) -> None:
-        self.compressed += len(block)
-        self._handle.write(block)
+# Each member deflates as independent segments (see write_npz).  Its
+# central-directory entry carries their table in a private extra field:
+# the raw segment size, then each segment's compressed length.
+_SEGMENT = 1 << 20  # raw bytes of a member's .npy body per segment
+_TABLE = struct.Struct("<HHQ")  # tag, data size, raw segment size; then <I lengths
+_TABLE_TAG = 0x7367  # "gs"
+# An entry's extra fields share one 16-bit length.
+_MAX_SEGMENTS = (0xFFFF - _CENTRAL_ZIP64.size - _TABLE.size) // 4
+_FLUSH_END = b"\x00\x00\xff\xff"  # the empty stored block a full flush ends with
+# Segments submitted ahead of the one being written (or checked): bounds
+# the memory a save or load adds, whatever the worker count.
+_IN_FLIGHT = 16
 
 
 def _local_header(name: bytes, crc: int, size: int, compressed: int) -> bytes:
@@ -171,22 +163,40 @@ def _local_header(name: bytes, crc: int, size: int, compressed: int) -> bytes:
     return fixed + name + _LOCAL_ZIP64.pack(1, 16, size, compressed)
 
 
-def _write_npy(sink: _DeflateSink, array: np.ndarray) -> None:
-    """The bytes :func:`numpy.lib.format.write_array` writes for
-    ``array``; a C-contiguous array of a plain dtype goes as its header
-    and then 1 MiB memoryview slices of its own buffer, uncopied."""
-    if not (array.flags.c_contiguous and array.dtype.kind in "biufcmMSU"):
-        np.lib.format.write_array(sink, array, allow_pickle=False)
-        return
+def _npy_segments(array: np.ndarray) -> tuple[int, list[Any]]:
+    """The raw segment size and the segments of the bytes
+    :func:`numpy.lib.format.write_array` writes for ``array``: its header,
+    then slices of its data, uncopied when the array is C- or
+    Fortran-contiguous.  The segment size doubles from ``_SEGMENT`` until
+    the table fits in its extra field."""
+    if array.dtype.hasobject or array.dtype.kind not in "biufcmMSUV":
+        raise ValueError(f"cannot store a {array.dtype} array without pickle")
     fmt = np.lib.format
-    fmt.write_array_header_1_0(sink, fmt.header_data_from_array_1_0(array))
-    raw = memoryview(array.reshape(-1).view(np.uint8))
-    for start in range(0, len(raw), _NPY_CHUNK):
-        sink.write(raw[start : start + _NPY_CHUNK])
+    header = io.BytesIO()
+    fmt.write_array_header_1_0(header, fmt.header_data_from_array_1_0(array))
+    if array.flags.f_contiguous and not array.flags.c_contiguous:
+        array = array.T  # the Fortran-order bytes, as C order of the transpose
+    data = memoryview(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
+    size = _SEGMENT
+    while 1 + -(-len(data) // size) > _MAX_SEGMENTS:
+        size *= 2
+    body = [data[start : start + size] for start in range(0, len(data), size)]
+    return size, [header.getvalue(), *body]
+
+
+def _deflate(task: tuple[Any, bool]) -> tuple[Any, list[bytes]]:
+    """Deflate one segment on its own, closed by a full flush, which ends
+    byte-aligned and outside any block, or by the end of the stream;
+    return it with its compressed blocks."""
+    raw, final = task
+    # Run-length strategy: no match search, but runs of zeros collapse.
+    deflate = zlib.compressobj(1, zlib.DEFLATED, -15, 8, zlib.Z_RLE)
+    flush = zlib.Z_FINISH if final else zlib.Z_FULL_FLUSH
+    return raw, [deflate.compress(raw), deflate.flush(flush)]
 
 
 def write_npz(path: str | Path, members: Mapping[str, Any]) -> None:
-    """Write named arrays to ``path`` as a deflated ``.npz``, streaming.
+    """Write named arrays to ``path`` as a deflated ``.npz``.
 
     The archive holds what :func:`numpy.savez_compressed` would write for
     ``members`` — one ``<name>.npy`` member each, in order, deflated and
@@ -195,15 +205,24 @@ def write_npz(path: str | Path, members: Mapping[str, Any]) -> None:
     search: on float factors, whose mantissas rarely repeat, that search
     is most of the time and saves about 1% of the size, while runs of
     zero bytes still collapse.  The container is always zip64, and every
-    member is dated 1980-01-01, so the same content gives the same bytes.
+    member is dated 1980-01-01.
 
-    Each member streams into the deflate in chunks, so no whole array,
-    raw or compressed, is copied: a C-contiguous array as its ``.npy``
-    header and then slices of its own buffer, any other through
-    :func:`numpy.lib.format.write_array`, which copies each 16 MiB chunk.
-    Deflate's output does not depend on how its input is cut, so both
-    give the same bytes.  Its local header is patched with its CRC32 and
-    sizes once it is written.
+    A member's ``.npy`` bytes are cut into segments: its header, then its
+    data in 1 MiB pieces, slices of the array's own buffer.  Each segment
+    is deflated on its own, on a :class:`repro.runtime.WorkerPool` of one
+    worker per usable CPU with at most 16 segments in flight, and
+    written in order.  All but the last end with a full flush, which
+    ends byte-aligned after an empty stored block, so the segments join
+    into the one deflate stream any zip reader inflates; the writing
+    thread keeps the member's CRC32 over the raw segments.  The member's
+    central-directory entry carries the segment table in a private extra
+    field (tag ``0x7367``, which other readers skip): the raw segment
+    size, then each segment's compressed length, so :func:`read_npz` can
+    inflate the segments in parallel.  The fields of an entry share a
+    64 KiB limit, so a member too large for 1 MiB segments gets larger
+    ones.  Segments depend only on the content, so the same content gives
+    the same bytes at every worker count.  Each member's local header
+    is patched with its CRC32 and sizes once it is written.
 
     >>> import tempfile, pathlib
     >>> path = pathlib.Path(tempfile.mkdtemp()) / "demo.npz"
@@ -212,28 +231,40 @@ def write_npz(path: str | Path, members: Mapping[str, Any]) -> None:
     ...     float(archive["x"].sum()), str(archive["label"])
     (0.0, 'demo')
     """
+    pool = WorkerPool()
     entries = []
     with open(path, "wb") as handle:
         for key, value in members.items():
             name = f"{key}.npy".encode("utf-8")
             offset = handle.tell()
             handle.write(_local_header(name, 0, 0, 0))
-            sink = _DeflateSink(handle)
-            _write_npy(sink, np.asanyarray(value))
-            sink.close()
+            segment, raw = _npy_segments(np.asarray(value))
+            tasks = [(part, last == len(raw)) for last, part in enumerate(raw, 1)]
+            crc = size = 0
+            lengths = []
+            for part, blocks in pool.imap(_deflate, tasks, _IN_FLIGHT):
+                crc = zlib.crc32(part, crc)
+                size += len(part)
+                lengths.append(sum(len(block) for block in blocks))
+                handle.writelines(blocks)
+            compressed = sum(lengths)
             end = handle.tell()
             handle.seek(offset)
-            handle.write(_local_header(name, sink.crc, sink.size, sink.compressed))
+            handle.write(_local_header(name, crc, size, compressed))
             handle.seek(end)
-            entries.append((name, sink.crc, sink.size, sink.compressed, offset))
+            table = _TABLE.pack(
+                _TABLE_TAG, _TABLE.size - 4 + 4 * len(lengths), segment
+            ) + struct.pack(f"<{len(lengths)}I", *lengths)
+            entries.append((name, crc, size, compressed, offset, table))
         directory = handle.tell()
-        for name, crc, size, compressed, offset in entries:
+        for name, crc, size, compressed, offset, table in entries:
             handle.write(_CENTRAL.pack(
                 0x02014B50, _ZIP64_VERSION, _ZIP64_VERSION, _UTF8_NAME,
                 _DEFLATED, 0, _EPOCH, crc, _MAX32, _MAX32, len(name),
-                _CENTRAL_ZIP64.size, 0, 0, 0, 0, _MAX32,
+                _CENTRAL_ZIP64.size + len(table), 0, 0, 0, 0, _MAX32,
             ))
             handle.write(name + _CENTRAL_ZIP64.pack(1, 24, size, compressed, offset))
+            handle.write(table)
         end64 = handle.tell()
         count, length = len(entries), end64 - directory
         handle.write(_END64.pack(
@@ -245,6 +276,166 @@ def write_npz(path: str | Path, members: Mapping[str, Any]) -> None:
             0x06054B50, 0, 0, min(count, 0xFFFF), min(count, 0xFFFF),
             min(length, _MAX32), min(directory, _MAX32), 0,
         ))
+
+
+def read_npz(path: str | Path) -> dict[str, np.ndarray]:
+    """Read every member of a ``.npz`` into a fresh, writable array.
+
+    The library's one ``.npz`` reader.  A member that
+    :func:`write_npz` wrote carries its segment table: its header
+    segment is inflated first, then its data segments on a
+    :class:`repro.runtime.WorkerPool` of one worker per usable CPU, each
+    straight into its slice of the preallocated array.  Every segment
+    must inflate to its raw length and end where its table says — a
+    non-final one exactly at its flush, the final one at the end of the
+    stream — and the member must match its CRC32.  Any other member (an
+    ``np.savez``/``np.savez_compressed`` archive, or one written before
+    the table existed) inflates, or is copied when stored, as one
+    segment through :mod:`zipfile`, which checks its CRC32.
+
+    Raises :class:`repro.runtime.errors.CorruptArtifactError` for an
+    unreadable archive and ``FileNotFoundError`` for a missing one.
+
+    >>> import tempfile, pathlib
+    >>> path = pathlib.Path(tempfile.mkdtemp()) / "demo.npz"
+    >>> write_npz(path, {"x": np.arange(3.0)})
+    >>> read_npz(path)["x"]
+    array([0., 1., 2.])
+    """
+    path = Path(path)
+    try:
+        with open(path, "rb") as handle, zipfile.ZipFile(handle) as archive:
+            pool = WorkerPool()
+            return {
+                info.filename.removesuffix(".npy"): _read_member(
+                    archive, handle, info, pool
+                )
+                for info in archive.infolist()
+            }
+    except FileNotFoundError:
+        raise
+    except (
+        OSError, EOFError, ValueError, struct.error, zlib.error, zipfile.BadZipFile
+    ) as exc:
+        raise CorruptArtifactError(
+            f"unreadable .npz {path.name}: {exc}", path=str(path)
+        ) from exc
+
+
+def _empty_npy(stream: BinaryIO, size: int) -> tuple[np.ndarray, memoryview]:
+    """Parse a ``.npy`` header from ``stream``, check it against the
+    member's ``size``, and allocate the array it describes; return the
+    array and a writable byte view of its data."""
+    fmt = np.lib.format
+    read_header = {
+        (1, 0): fmt.read_array_header_1_0, (2, 0): fmt.read_array_header_2_0
+    }.get(fmt.read_magic(stream))
+    if read_header is None:
+        raise ValueError("unsupported .npy format version")
+    shape, fortran_order, dtype = read_header(stream)
+    if dtype.hasobject:
+        raise ValueError("object arrays cannot be read without pickle")
+    if stream.tell() + math.prod(shape) * dtype.itemsize != size:
+        raise ValueError("a .npy header does not match its member's size")
+    array = np.empty(shape, dtype, order="F" if fortran_order else "C")
+    data = (array.T if fortran_order else array).reshape(-1).view(np.uint8)
+    return array, memoryview(data)
+
+
+def _segment_table(extra: bytes) -> tuple[int, tuple[int, ...]] | None:
+    """The ``(raw segment size, compressed lengths)`` table in an entry's
+    extra fields, or ``None`` when it has none."""
+    while len(extra) >= 4:
+        tag, size = struct.unpack_from("<HH", extra)
+        if tag == _TABLE_TAG:
+            count = (size - 8) // 4
+            if count < 1 or size != 8 + 4 * count or len(extra) < 4 + size:
+                raise ValueError("malformed segment table")
+            segment = _TABLE.unpack_from(extra)[2]
+            if segment < 1:
+                raise ValueError("malformed segment table")
+            return segment, struct.unpack_from(f"<{count}I", extra, _TABLE.size)
+        extra = extra[4 + size :]
+    return None
+
+
+def _inflate(data: bytes, limit: int, final: bool) -> bytes:
+    """Inflate one segment of at most ``limit`` raw bytes, checking that
+    it ends where a segment must: at the end of the stream when
+    ``final``, else exactly at its full flush."""
+    inflater = zlib.decompressobj(-15)
+    # Room for one byte more, so a segment that runs long shows.
+    raw = inflater.decompress(data, limit + 1)
+    if final:
+        ends = inflater.eof and not inflater.unused_data
+    else:
+        ends = not inflater.eof and data.endswith(_FLUSH_END)
+    if len(raw) > limit or inflater.unconsumed_tail or not ends:
+        raise ValueError("a deflate segment does not end where its table says")
+    return raw
+
+
+def _read_member(
+    archive: zipfile.ZipFile,
+    handle: BinaryIO,
+    info: zipfile.ZipInfo,
+    pool: WorkerPool,
+) -> np.ndarray:
+    """One member as a fresh array: its segments in parallel when it has
+    a table, else one segment through ``archive``."""
+    table = _segment_table(info.extra)
+    if table is None:
+        with archive.open(info) as stream:
+            array, data = _empty_npy(stream, info.file_size)
+            for start in range(0, len(data), _SEGMENT):
+                stop = min(start + _SEGMENT, len(data))
+                piece = stream.read(stop - start)
+                if len(piece) != stop - start:
+                    raise ValueError(f"{info.filename} ends early")
+                data[start:stop] = piece
+            if stream.read(1):
+                raise ValueError(f"{info.filename} is longer than its array")
+        return array
+    segment, lengths = table
+    if info.compress_type != zipfile.ZIP_DEFLATED or sum(lengths) != info.compress_size:
+        raise ValueError(f"the segment table of {info.filename} does not add up")
+    handle.seek(info.header_offset)
+    local = _LOCAL.unpack(handle.read(_LOCAL.size))
+    if local[0] != 0x04034B50:
+        raise ValueError(f"bad local header for {info.filename}")
+    handle.seek(info.header_offset + _LOCAL.size + local[9] + local[10])
+
+    def _read(length: int) -> bytes:
+        block = handle.read(length)
+        if len(block) != length:
+            raise ValueError(f"{info.filename} is truncated")
+        return block
+
+    # numpy reads no .npy header over 10,000 bytes.
+    header = _inflate(_read(lengths[0]), 1 << 16, final=len(lengths) == 1)
+    stream = io.BytesIO(header)
+    array, data = _empty_npy(stream, info.file_size)
+    if stream.tell() != len(header) or len(lengths) != 1 + -(-len(data) // segment):
+        raise ValueError(f"the segments of {info.filename} do not match its array")
+
+    def _into(task: tuple[bytes, int, int]) -> memoryview:
+        block, start, stop = task
+        raw = _inflate(block, stop - start, final=stop == len(data))
+        if len(raw) != stop - start:
+            raise ValueError(f"a segment of {info.filename} inflates short")
+        data[start:stop] = raw
+        return data[start:stop]
+
+    tasks = (
+        (_read(length), start, min(start + segment, len(data)))
+        for start, length in zip(range(0, len(data), segment), lengths[1:])
+    )
+    crc = zlib.crc32(header)
+    for raw in pool.imap(_into, tasks, _IN_FLIGHT):
+        crc = zlib.crc32(raw, crc)
+    if crc != info.CRC:
+        raise ValueError(f"bad CRC-32 for {info.filename}")
+    return array
 
 
 # ----------------------------------------------------------------------
@@ -491,33 +682,29 @@ class CheckpointManager:
 
     # ------------------------------------------------------------------
     def _read(self, path: Path) -> Checkpoint:
-        if not path.exists():
+        try:
+            arrays = read_npz(path)
+        except FileNotFoundError as exc:
             raise CorruptArtifactError(
                 f"checkpoint {path} does not exist", path=str(path)
-            )
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                names = set(archive.files)
-                if self._CHECKSUM_KEY not in names or self._META_KEY not in names:
-                    raise CorruptArtifactError(
-                        f"{path} is not a checkpoint (missing integrity fields)",
-                        path=str(path),
-                    )
-                stored = str(archive[self._CHECKSUM_KEY])
-                meta_blob = str(archive[self._META_KEY])
-                # Each read returns a fresh, writable array; no copy needed.
-                arrays = {
-                    name: archive[name] for name in names if not name.startswith("__")
-                }
-        except CorruptArtifactError:
-            raise
-        except Exception as exc:  # truncated zip, bad CRC, bad header...
+            ) from exc
+        except CorruptArtifactError as exc:
             raise CorruptArtifactError(
                 f"cannot read checkpoint {path} ({exc}); the snapshot is "
                 "corrupt — resume will fall back to an earlier one, or "
                 "rebuild from scratch",
                 path=str(path),
             ) from exc
+        if self._CHECKSUM_KEY not in arrays or self._META_KEY not in arrays:
+            raise CorruptArtifactError(
+                f"{path} is not a checkpoint (missing integrity fields)",
+                path=str(path),
+            )
+        stored = str(arrays.pop(self._CHECKSUM_KEY))
+        meta_blob = str(arrays.pop(self._META_KEY))
+        arrays = {
+            name: array for name, array in arrays.items() if not name.startswith("__")
+        }
         payload: dict[str, Any] = dict(arrays)
         payload[self._META_KEY] = meta_blob
         if content_checksum(payload) != stored:

@@ -16,6 +16,7 @@ step with pinned BLAS thread counts.  The load-bearing claims:
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 
@@ -46,6 +47,7 @@ from repro.runtime import (
     Tracer,
     WallClockDeadline,
     WorkerPool,
+    parallel,
 )
 from repro.runtime.errors import TransientError
 from repro.runtime.parallel import shard_ranges, shard_rows_by_nnz
@@ -160,12 +162,50 @@ class TestWorkerPool:
         assert snap["counters"]["parallel.shards"] == 6
         assert snap["gauges"]["parallel.workers"] == 2
 
+    def test_default_size_follows_cpu_affinity(self, monkeypatch):
+        # A process pinned to 2 of 64 CPUs gets 2 workers (constructing a
+        # pool starts no thread).
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert WorkerPool().max_workers == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert WorkerPool().max_workers == 64
+
     def test_map_checkpoints_cancellation(self):
         token = CancellationToken()
         token.cancel()
         context = ExecutionContext(cancellation=token)
         with pytest.raises(Cancelled):
             WorkerPool(max_workers=2).map(lambda x: x, range(4), context=context)
+
+
+# ----------------------------------------------------------------------
+# Index builds: the parallel default and the peak gauge
+# ----------------------------------------------------------------------
+class TestIndexBuildWorkers:
+    def test_default_build_matches_serial(self, graph_pair, monkeypatch):
+        # The default is one worker per usable CPU: three, on any host.
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 3)
+        context = ExecutionContext()
+        default = GSimIndex.build(*graph_pair, iterations=5, context=context)
+        serial = GSimIndex.build(*graph_pair, iterations=5, max_workers=1)
+        assert context.metrics.snapshot()["gauges"]["parallel.workers"] == 3
+        np.testing.assert_array_equal(default.factors.u, serial.factors.u)
+        np.testing.assert_array_equal(default.factors.v, serial.factors.v)
+        assert default.factors.log_scale == serial.factors.log_scale
+
+    @pytest.mark.parametrize("recompress_tol", [None, 1e-8])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_gauge_is_the_ledger_peak(self, graph_pair, workers, recompress_tol):
+        # The gauge records the charges taken inside a step and a
+        # recompression, not only the pair held between steps.
+        context = ExecutionContext.start(memory_limit_bytes=1 << 40)
+        index = GSimIndex.build(
+            *graph_pair, iterations=5, context=context, max_workers=workers,
+            recompress_tol=recompress_tol,
+        )
+        gauges = index.metadata.build_metrics["gauges"]
+        assert gauges["gsim_plus.peak_bytes_held"] == gauges["memory.peak_bytes"]
 
 
 # ----------------------------------------------------------------------

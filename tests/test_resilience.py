@@ -9,8 +9,11 @@ its exactly round-tripped state, so any drift is a bug.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
+import struct
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from repro.experiments.runner import (
 )
 from repro.graphs import Graph
 from repro.retrieval.index import GSimIndex
-from repro.runtime import ExecutionContext, Metrics
+from repro.runtime import ExecutionContext, Metrics, parallel, resilience
 from repro.runtime.errors import (
     Cancelled,
     CorruptArtifactError,
@@ -40,6 +43,7 @@ from repro.runtime.resilience import (
     RetryPolicy,
     atomic_write,
     content_checksum,
+    read_npz,
     write_npz,
 )
 
@@ -69,6 +73,58 @@ def _flip_payload_byte(path):
         extra_len = int.from_bytes(header[28:30], "little")
         data_start = info.header_offset + 30 + name_len + extra_len
     _flip_byte(path, offset=data_start + info.compress_size // 2)
+
+
+def _central_entries(blob):
+    """The zip64 end record's offset in an archive from ``write_npz``,
+    and ``(offset, name, extra offset)`` of each central-directory entry."""
+    end64 = blob.rindex(b"PK\x06\x06")
+    (position,) = struct.unpack_from("<Q", blob, end64 + 48)
+    entries = []
+    while position < end64:
+        name_len, extra_len = struct.unpack_from("<HH", blob, position + 28)
+        extra = position + 46 + name_len
+        entries.append((position, blob[position + 46 : extra].decode(), extra))
+        position = extra + extra_len
+    return end64, entries
+
+
+def _table_of(path, member):
+    """A member's segment table, and its ``ZipInfo``."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(f"{member}.npy")
+    return resilience._segment_table(info.extra), info
+
+
+def _rewrite_table(path, member, lengths, compressed=None):
+    """Overwrite a member's table lengths (and its compressed size)."""
+    blob = bytearray(path.read_bytes())
+    _, entries = _central_entries(blob)
+    extra = next(extra for _, name, extra in entries if name == f"{member}.npy")
+    # The zip64 field (tag, size, three sizes) comes first, then the
+    # table: tag, size, raw segment size and the lengths.
+    struct.pack_into(f"<{len(lengths)}I", blob, extra + 40, *lengths)
+    if compressed is not None:
+        struct.pack_into("<Q", blob, extra + 12, compressed)
+    path.write_bytes(bytes(blob))
+
+
+def _strip_segment_tables(path):
+    """Drop every segment table: readers then see each member as one
+    deflate stream, as ``write_npz`` wrote it before tables existed."""
+    blob = path.read_bytes()
+    end64, entries = _central_entries(blob)
+    directory = b""
+    for position, _, extra in entries:
+        record = bytearray(blob[position : extra + 28])  # up to the zip64 field
+        struct.pack_into("<H", record, 30, 28)
+        directory += record
+    start = entries[0][0]
+    tail = bytearray(blob[end64:])
+    struct.pack_into("<QQ", tail, 40, len(directory), start)  # zip64 end record
+    struct.pack_into("<Q", tail, 64, start + len(directory))  # its locator
+    struct.pack_into("<I", tail, 88, len(directory))  # end record
+    path.write_bytes(blob[:start] + directory + bytes(tail))
 
 
 # ----------------------------------------------------------------------
@@ -199,26 +255,85 @@ class TestWriteNpz:
         write_npz(tmp_path / "b.npz", self._members())
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
-    def test_same_bytes_as_write_array(self, tmp_path, monkeypatch):
-        # C-contiguous members go as slices of their own buffers; the
-        # archive must be the one that streaming every member through
-        # numpy's write_array gives, byte for byte.
+    def test_members_inflate_to_write_array_bytes(self, tmp_path):
+        # Each member is the header and then slices of the array's own
+        # buffer; it must inflate to what numpy's write_array writes.
+        rng = np.random.default_rng(6)
         members = {
             **self._members(),
-            "big": np.random.default_rng(6).normal(size=(300_000,)),  # > 1 chunk
+            "big": rng.normal(size=(300_000,)),  # more than two segments
             "scalar": np.asarray(2.5),
+            "strided": np.arange(40.0).reshape(8, 5)[::2, 1:4],
         }
-        write_npz(tmp_path / "sliced.npz", members)
-        monkeypatch.setattr(
-            sys.modules[write_npz.__module__], "_write_npy",
-            lambda sink, array: np.lib.format.write_array(
-                sink, array, allow_pickle=False
-            ),
-        )
-        write_npz(tmp_path / "copied.npz", members)
-        assert (tmp_path / "sliced.npz").read_bytes() == (
-            tmp_path / "copied.npz"
-        ).read_bytes()
+        path = tmp_path / "a.npz"
+        write_npz(path, members)
+        with zipfile.ZipFile(path) as archive:
+            for name, value in members.items():
+                expected = io.BytesIO()
+                np.lib.format.write_array(
+                    expected, np.asarray(value), allow_pickle=False
+                )
+                assert archive.read(f"{name}.npy") == expected.getvalue(), name
+
+    @pytest.mark.parallel
+    def test_same_bytes_at_every_worker_count(self, tmp_path, monkeypatch):
+        # 4 KiB segments: the big member spans several windows of
+        # segments in flight at every worker count.
+        monkeypatch.setattr(resilience, "_SEGMENT", 4096)
+        members = {
+            **self._members(),
+            "big": np.random.default_rng(6).normal(size=(40_000,)),
+        }
+        blobs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(parallel, "_usable_cpus", lambda: workers)
+                path = tmp_path / f"workers{workers}.npz"
+                write_npz(path, members)
+                blobs.append(path.read_bytes())
+                loaded = read_npz(path)
+                for name, value in members.items():
+                    np.testing.assert_array_equal(loaded[name], np.asarray(value))
+        finally:
+            sys.setswitchinterval(interval)
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_table_grows_its_segments_to_fit(self, tmp_path, monkeypatch):
+        # At 16-byte segments the member would need 18,751 table entries,
+        # more than an entry's 64 KiB of extra fields holds.
+        monkeypatch.setattr(resilience, "_SEGMENT", 16)
+        member = np.arange(37_500.0)
+        path = tmp_path / "a.npz"
+        write_npz(path, {"m": member})
+        (segment, lengths), info = _table_of(path, "m")
+        assert segment > 16
+        assert len(lengths) == 1 + -(-member.nbytes // segment)
+        assert len(info.extra) <= 0xFFFF
+        np.testing.assert_array_equal(read_npz(path)["m"], member)
+        with np.load(path) as archive:
+            np.testing.assert_array_equal(archive["m"], member)
+
+    def test_single_stream_archives_load(self, tmp_path):
+        # Archives without segment tables: an older write_npz's, and
+        # np.savez_compressed's.
+        members = self._members()
+        write_npz(tmp_path / "old.npz", members)
+        _strip_segment_tables(tmp_path / "old.npz")
+        np.savez_compressed(tmp_path / "savez.npz", **members)
+        for name in ("old.npz", "savez.npz"):
+            with zipfile.ZipFile(tmp_path / name) as archive:
+                assert archive.testzip() is None
+                assert all(
+                    resilience._segment_table(info.extra) is None
+                    for info in archive.infolist()
+                )
+            loaded = read_npz(tmp_path / name)
+            assert list(loaded) == list(members)
+            for key, value in members.items():
+                assert loaded[key].dtype == np.asarray(value).dtype
+                np.testing.assert_array_equal(loaded[key], np.asarray(value))
 
     def test_zero_runs_collapse(self, tmp_path):
         path = tmp_path / "zeros.npz"
@@ -696,6 +811,52 @@ class TestArtifactCorruption:
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(CorruptArtifactError):
             GSimIndex.load(path)
+
+
+class TestSegmentCorruption:
+    """A segment table that disagrees with the member's data, or a damaged
+    segment, makes the load refuse the index."""
+
+    @pytest.fixture
+    def saved(self, tmp_path, random_pair, monkeypatch):
+        monkeypatch.setattr(resilience, "_SEGMENT", 256)  # U spans ~20 segments
+        path = tmp_path / "index.npz"
+        GSimIndex.build(*random_pair, iterations=4).save(path)
+        (_, lengths), _ = _table_of(path, "u")
+        assert len(lengths) > 4
+        GSimIndex.load(path)
+        return path
+
+    def test_lengths_must_sum_to_the_member(self, saved):
+        (_, lengths), _ = _table_of(saved, "u")
+        _rewrite_table(saved, "u", [lengths[0], lengths[1] + 1, *lengths[2:]])
+        with pytest.raises(CorruptArtifactError, match="rebuild"):
+            GSimIndex.load(saved)
+
+    def test_shifted_segment_length(self, saved):
+        # Same sum: segment 1 takes the first byte of segment 2.
+        (_, lengths), _ = _table_of(saved, "u")
+        shifted = [lengths[0], lengths[1] + 1, lengths[2] - 1, *lengths[3:]]
+        _rewrite_table(saved, "u", shifted)
+        with pytest.raises(CorruptArtifactError, match="rebuild"):
+            GSimIndex.load(saved)
+
+    def test_truncated_final_segment(self, saved):
+        (_, lengths), info = _table_of(saved, "u")
+        _rewrite_table(
+            saved, "u", [*lengths[:-1], lengths[-1] - 1], info.compress_size - 1
+        )
+        with pytest.raises(CorruptArtifactError, match="rebuild"):
+            GSimIndex.load(saved)
+
+    def test_flipped_byte_inside_a_segment(self, saved):
+        (_, lengths), info = _table_of(saved, "u")
+        local = saved.read_bytes()[info.header_offset :]
+        name_len, extra_len = struct.unpack_from("<HH", local, 26)
+        data = info.header_offset + 30 + name_len + extra_len
+        _flip_byte(saved, offset=data + sum(lengths[:3]) + lengths[3] // 2)
+        with pytest.raises(CorruptArtifactError, match="rebuild"):
+            GSimIndex.load(saved)
 
 
 # ----------------------------------------------------------------------
