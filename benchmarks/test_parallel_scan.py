@@ -47,7 +47,7 @@ def pair():
 def factors(pair) -> LowRankFactors:
     """Width-8 factors (3 doubling steps), built once for every scan."""
     graph_a, graph_b = pair
-    solver = GSimPlus(graph_a, graph_b, rank_cap="qr-compress")
+    solver = GSimPlus(graph_a, graph_b, rank_cap="none")
     state = None
     for state in solver.iterate(3):
         pass
@@ -149,7 +149,7 @@ def test_query_ranking_argpartition(benchmark, query_block):
 @pytest.mark.parametrize("workers", [1, 4])
 def test_factor_step_workers(benchmark, pair, workers):
     graph_a, graph_b = pair
-    solver = GSimPlus(graph_a, graph_b, rank_cap="qr-compress", max_workers=workers)
+    solver = GSimPlus(graph_a, graph_b, rank_cap="none", max_workers=workers)
     base = LowRankFactors(
         np.ones((graph_a.num_nodes, 8)), np.ones((graph_b.num_nodes, 8))
     )

@@ -224,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="enable rank-bounded factor recompression between "
             "doubling steps at relative Frobenius tolerance TOL (e.g. "
             "1e-8); width is then bounded by numerical rank instead of "
-            "2^k (default: off — exact doubling)",
+            "2^k (default: exact doubling; top-k builds cut at 1e-12)",
         )
 
     def _add_workers(sub: argparse.ArgumentParser) -> None:

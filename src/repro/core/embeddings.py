@@ -26,12 +26,12 @@ array properties:
   :attr:`precision` reports the policy as a string, :meth:`astype`
   converts between the two.
 * **Truncation** — :meth:`recompressed` bounds the width by *numerical
-  rank*: the R factor of each factor's QR (a TSQR over its non-zero rows;
-  no orthonormal Q is formed), an SVD of the small core ``R_U R_V^T``, a
-  truncation keeping the smallest rank whose discarded spectral energy
-  stays below a relative tolerance, and one ``w x r`` product per factor.
-  The QR work is proportional to the non-zero rows only, and zero rows
-  stay exactly zero.  The resulting object carries a
+  rank*: the R factor of each factor's QR (a TSQR over its non-zero rows
+  on a worker pool; no orthonormal Q is formed), an SVD of the small core
+  ``R_U R_V^T``, a truncation keeping the smallest rank whose discarded
+  spectral energy stays below a relative tolerance, and one ``w x r``
+  product per factor.  The QR work is proportional to the non-zero rows
+  only, and zero rows stay exactly zero.  The resulting object carries a
   :class:`TruncationInfo` record (retained rank, discarded energy,
   effective tolerance) so metrics, traces, and persisted artifacts can
   report how lossy the representation is.
@@ -50,8 +50,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from repro.runtime import ExecutionContext
+from repro.runtime import ExecutionContext, WorkerPool
 from repro.utils.validation import resolve_node_index
 
 __all__ = ["LowRankFactors", "TruncationInfo", "nonzero_rows", "row_norms"]
@@ -62,9 +63,9 @@ _SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 # The row scans below read chunks of about this many bytes of float64.
 _NORM_CHUNK_BYTES = 1 << 22
-# Rows per chunk of the TSQR in ``recompressed``: each chunk's non-zero
-# rows get one LAPACK QR.  On a 262k x 44 factor, chunks of 1k-8k rows ran
-# within 10% of each other and 16k-32k rows ~50% slower (one BLAS thread).
+# Rows per TSQR chunk (and per stack of chunk R's) in ``recompressed``.  On
+# a 262k x 44 factor, chunks of 1k-8k rows ran within 10% of each other and
+# 16k-32k rows ~50% slower (one BLAS thread).
 _TSQR_CHUNK_ROWS = 4096
 # A sum of squares outside this range may have lost entries to underflow
 # (the square of any |x| < ~1e-162 is subnormal or zero) or overflowed.
@@ -123,22 +124,36 @@ def _chunk_rows(width: int) -> int:
     return max(1, _NORM_CHUNK_BYTES // (8 * max(width, 1)))
 
 
-def _tsqr_r(factor: np.ndarray) -> np.ndarray:
-    """The ``w x w`` R of a QR of ``factor``, from its non-zero rows.
+def _tsqr_r(factor: np.ndarray, pool: WorkerPool) -> np.ndarray:
+    """The R (at most ``w x w``) of a QR of ``factor``'s non-zero rows.
 
-    Sequential tall-skinny QR: chunk by chunk of ``_TSQR_CHUNK_ROWS``
-    rows, ``R`` becomes the R of ``R`` stacked on the chunk's non-zero
-    rows.  Zero rows do not change ``R^T R = factor^T factor``, so they
-    are skipped; starting from a ``w x w`` zero R keeps R square when
-    fewer than ``w`` rows are non-zero.
+    Tall-skinny QR in a fixed tree: each ``_TSQR_CHUNK_ROWS``-row chunk's
+    non-zero rows get one QR, then the chunk R's are stacked in order, up
+    to ``_TSQR_CHUNK_ROWS`` rows a group, and reduced by one more QR per
+    group until one R is left.  Each level's QRs run on ``pool``: scipy's
+    ``raw`` QR releases the GIL, keeps only the economic R, and holds the
+    block and LAPACK's copy (the workspace is passed in, as its size query
+    would keep a second copy alive).  The tree depends on the shape only,
+    so R is bit-identical at every worker count.
     """
     width = factor.shape[1]
-    r = np.zeros((width, width), dtype=factor.dtype)
-    for start in range(0, factor.shape[0], _TSQR_CHUNK_ROWS):
+
+    def _r(block: np.ndarray) -> np.ndarray:
+        return scipy.linalg.qr(
+            block, mode="raw", overwrite_a=True, check_finite=False,
+            lwork=64 * width,
+        )[1]
+
+    def _leaf(start: int) -> np.ndarray:
         chunk = factor[start : start + _TSQR_CHUNK_ROWS]
-        live = chunk[nonzero_rows(chunk)]
-        r = np.linalg.qr(np.concatenate([r, live]), mode="r")
-    return r
+        return _r(chunk[nonzero_rows(chunk)])
+
+    level = pool.map(_leaf, range(0, factor.shape[0], _TSQR_CHUNK_ROWS))
+    fan_in = max(2, _TSQR_CHUNK_ROWS // width)
+    while len(level) > 1:
+        groups = [level[i : i + fan_in] for i in range(0, len(level), fan_in)]
+        level = pool.map(lambda group: _r(np.concatenate(group)), groups)
+    return level[0]
 
 
 def _resolve_dtype(requested: "np.dtype | str | type | None") -> np.dtype | None:
@@ -411,46 +426,22 @@ class LowRankFactors:
             block *= math.exp(self.log_scale)
         return block
 
-    def compressed(self) -> "LowRankFactors":
-        """Losslessly shrink the width to ``min(width, n_rows, n_cols)``.
-
-        Uses a thin QR of the wider factor to fold redundant columns into
-        the other factor: ``U V^T = Q_U (V R_U^T)^T``.  Exact up to float
-        rounding; used by the ``qr-compress`` rank-cap ablation.  For the
-        lossy, tolerance-driven variant see :meth:`recompressed`.
-        """
-        n_rows, n_cols = self.shape
-        target = min(n_rows, n_cols)
-        if self.width <= target:
-            return LowRankFactors(
-                self.u.copy(), self.v.copy(), self.log_scale,
-                truncation=self.truncation,
-            )
-        if n_rows <= n_cols:
-            # Compress through the U side: U = Q R, new U = Q (n_rows x n_rows).
-            q, r = np.linalg.qr(self.u)
-            return LowRankFactors(
-                q, self.v @ r.T, self.log_scale, truncation=self.truncation
-            )
-        q, r = np.linalg.qr(self.v)
-        return LowRankFactors(
-            self.u @ r.T, q, self.log_scale, truncation=self.truncation
-        )
-
     def recompressed(
         self,
         tol: float,
         max_rank: int | None = None,
         context: ExecutionContext | None = None,
+        max_workers: "WorkerPool | int | None" = None,
     ) -> "LowRankFactors":
         """Truncate the width to the numerical rank at relative tolerance
         ``tol``.
 
         The machinery is the QR + SVD rounding of the low-rank SimRank
         line of work, from the R factors alone: ``R_U`` and ``R_V`` of a
-        QR of each factor (by TSQR over its non-zero rows, see
-        :func:`_tsqr_r`), the SVD ``R_U R_V^T = W_U S W_V^T`` of the small
-        ``w x w`` core, and a cut keeping the smallest rank ``r`` whose
+        QR of each factor (by TSQR over its non-zero rows on the
+        ``max_workers`` pool, see :func:`_tsqr_r`), the SVD
+        ``R_U R_V^T = W_U S W_V^T`` of the small core (at most ``w x w``),
+        and a cut keeping the smallest rank ``r`` whose
         discarded spectral energy satisfies
         ``sum_{i>r} s_i^2 <= tol^2 * sum_i s_i^2`` — i.e. the truncation
         error is at most ``tol`` *relative to* ``||Z||_F``:
@@ -502,12 +493,12 @@ class LowRankFactors:
         if max_rank is not None and max_rank < 1:
             raise ValueError(f"max_rank must be >= 1, got {max_rank}")
         context = ExecutionContext.resolve(context)
+        pool = WorkerPool.resolve(max_workers)
         width = self.width
-        with context.holding(
-            self.recompression_bytes(), f"recompression TSQR (width {width})"
-        ):
-            r_u = _tsqr_r(self.u)
-            r_v = _tsqr_r(self.v)
+        tsqr_bytes = self.recompression_bytes(workers=pool.max_workers)
+        with context.holding(tsqr_bytes, f"recompression TSQR (width {width})"):
+            r_u = _tsqr_r(self.u, pool)
+            r_v = _tsqr_r(self.v, pool)
             core_u, sigma, core_vt = np.linalg.svd(r_u @ r_v.T)
         # Energy accounting in float64 even on the float32 path, so the
         # cut decision is never dominated by accumulation noise.
@@ -543,20 +534,23 @@ class LowRankFactors:
         )
         return LowRankFactors(new_u, new_v, self.log_scale, truncation=info)
 
-    def recompression_bytes(self, rank: int | None = None) -> int:
+    def recompression_bytes(self, rank: int | None = None, workers: int = 1) -> int:
         """Bytes one phase of :meth:`recompressed` holds above these factors.
 
-        Without ``rank``, the TSQR scan and the SVD: one chunk's non-zero
-        rows stacked under R, and LAPACK's float64 copy of that stack.
-        With ``rank``, the output pair at that rank.  Both add the
-        ``w x w`` cores and 16 KiB of array headers.
+        Without ``rank``, the TSQR and the SVD: per worker (at most one per
+        chunk), one chunk's gathered non-zero rows and LAPACK's copy, and
+        two tree levels of chunk R's.  With ``rank``, the output pair at
+        that rank.  Both add the ``w x w`` cores and 16 KiB of headers.
         """
-        width = self.width
+        width, itemsize = self.width, self.dtype.itemsize
         cores = 16 * width * width * 8 + (16 << 10)
         if rank is not None:
-            return sum(self.shape) * rank * self.dtype.itemsize + cores
-        rows = min(_TSQR_CHUNK_ROWS, max(self.shape)) + width
-        return rows * (width * (2 * self.dtype.itemsize + 8) + 16) + cores
+            return sum(self.shape) * rank * itemsize + cores
+        rows = max(self.shape)
+        chunks = -(-rows // _TSQR_CHUNK_ROWS)
+        chunk = min(_TSQR_CHUNK_ROWS, rows) * (2 * width * itemsize + 16)
+        stack = chunks * min(width, rows) * width * itemsize
+        return min(workers, chunks) * chunk + 2 * stack + cores
 
     def __repr__(self) -> str:
         return (

@@ -15,31 +15,29 @@ Rank-cap hybrid
 Once the doubled width would exceed ``min(n_A, n_B)`` the low-dimensional
 representation stops paying for itself; the paper (§5.2.1, point 6) states
 GSim+ then "reduces to the traditional GSim without dimensionality
-reduction" so its cost never exceeds GSim's.  Three behaviours are offered:
+reduction" so its cost never exceeds GSim's.  Two behaviours are offered:
 
 * ``"dense"`` (paper's description, the default): materialise ``Z`` and
   continue with normalised dense updates.
-* ``"qr-compress"``: losslessly shrink the factors to width
-  ``min(n_A, n_B)`` with one thin QR and keep iterating in factored form —
-  same asymptotic cost, lower constant memory; used by the ablation bench.
 * ``"none"``: let the width keep doubling (exact but wasteful; exists so
-  tests can check the other two match it).
+  tests can check the dense fallback against it).  With recompression on,
+  the width stays at the numerical rank instead: the mode of index builds.
 
 Recompression and precision
 ---------------------------
 Most of the doubled width carries negligible spectral energy, so with
-``recompress_tol`` set the solver recompresses the factors *between*
-doubling steps — the R factors of ``U_k``/``V_k`` by TSQR over their
-non-zero rows, SVD of the small core ``R_U R_V^T``, truncation at the
-relative tolerance, and one ``w x r`` product per factor (see
-:meth:`repro.core.embeddings.LowRankFactors.recompressed`) — bounding the
-width by numerical rank instead of the ``2^k`` schedule.  Per-iteration
-truncation at tolerance ``tol`` perturbs the final normalised similarity
-by at most ~``K * tol`` (first order), which the default
-:data:`DEFAULT_RECOMPRESS_TOL` keeps far below the Theorem 4.2 spectral
-bound.  With recompression active the dense rank-cap trigger is keyed on
-the *numerical rank* (the recompressed width), so the fallback only
-engages when the similarity genuinely has no slender representation.
+``recompress_tol`` set the solver cuts the factors *between* doubling
+steps at their numerical rank
+(:meth:`repro.core.embeddings.LowRankFactors.recompressed`).
+Per-iteration truncation at tolerance ``tol`` perturbs the final
+normalised similarity by at most ~``K * tol`` (first order), which the
+default :data:`DEFAULT_RECOMPRESS_TOL` keeps far below the Theorem 4.2
+spectral bound.  The retained rank never exceeds ``min(n_A, n_B)``: each
+factor's TSQR R has at most one row per non-zero row, so the core has no
+more singular values.  With recompression active the dense rank-cap
+trigger is keyed on the *numerical rank* (the recompressed width), so the
+fallback only engages when the similarity genuinely has no slender
+representation.
 
 ``precision`` selects the factor dtype: ``"float64"`` (exact default —
 bit-identical to the historical behaviour) or ``"float32"`` (opt-in
@@ -93,9 +91,10 @@ from repro.runtime.resilience import Checkpoint, CheckpointManager
 from repro.utils.memory import dense_matrix_bytes
 from repro.utils.validation import check_nonnegative_integer, resolve_node_index
 
-__all__ = ["DEFAULT_RECOMPRESS_TOL", "GSimPlus", "GSimPlusResult", "gsim_plus"]
+__all__ = ["DEFAULT_RECOMPRESS_TOL", "GSimPlus", "GSimPlusResult",
+           "NUMERICAL_RANK_TOL", "gsim_plus"]
 
-_RANK_CAP_MODES = ("dense", "qr-compress", "none")
+_RANK_CAP_MODES = ("dense", "none")
 _NORMALIZATIONS = ("block", "global")
 _PRECISIONS = ("float64", "float32")
 
@@ -104,6 +103,9 @@ _PRECISIONS = ("float64", "float32")
 # below 1e-6 — orders of magnitude under the Theorem 4.2 bound on every
 # bench profile, and well under float32 resolution on that path.
 DEFAULT_RECOMPRESS_TOL = 1e-8
+# The cut of GSimIndex.build and top_k_pairs after every doubling step when
+# no recompress_tol is given (float32 too): at most K * 1e-12 over K steps.
+NUMERICAL_RANK_TOL = 1e-12
 
 # Each chunk task's sparse-times-dense product is a temporary that is
 # copied into its slice of the step's output; this caps its bytes, so a
@@ -190,7 +192,7 @@ class GSimPlus:
     graph_a, graph_b:
         The two graphs.  Only their (sparse) adjacency matrices are used.
     rank_cap:
-        One of ``"dense"`` (paper default), ``"qr-compress"``, ``"none"``.
+        ``"dense"`` (paper default) or ``"none"``.
     normalization:
         ``"block"`` (Algorithm 1, default) or ``"global"``.
     numeric_guard:
@@ -487,7 +489,7 @@ class GSimPlus:
         k: int,
         context: ExecutionContext,
     ) -> LowRankFactors:
-        """Rank-bound the stepped factors at :attr:`recompress_tol`.
+        """Cut the stepped factors at :attr:`recompress_tol`.
 
         The kernel charges the memory ledger for each of its phases
         (:meth:`~repro.core.embeddings.LowRankFactors.recompression_bytes`)
@@ -500,11 +502,13 @@ class GSimPlus:
         """
         assert self.recompress_tol is not None
         width = factors.width
-        compact = factors.recompressed(self.recompress_tol, context=context)
+        compact = factors.recompressed(
+            self.recompress_tol, context=context, max_workers=self._pool
+        )
         info = compact.truncation
-        assert info is not None
+        assert info is not None and info.retained_rank <= min(self.n_a, self.n_b)
         phase_bytes = max(
-            factors.recompression_bytes(),
+            factors.recompression_bytes(workers=self._pool.max_workers),
             factors.recompression_bytes(info.retained_rank),
         )
         context.metrics.record_max(
@@ -779,11 +783,6 @@ class GSimPlus:
                                 span.set_attribute(
                                     "retained_rank", factors.width
                                 )
-                            if (
-                                self.rank_cap == "qr-compress"
-                                and factors.width > width_cap
-                            ):
-                                factors = factors.compressed()
                             _account(factors.nbytes, f"GSim+ factors (k={k})")
                     span.set_attribute(
                         "width",

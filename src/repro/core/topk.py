@@ -17,9 +17,11 @@ score in linear time, every entry within rounding of it is kept, and only
 the surviving candidates are sorted.
 
 Ordering is canonical everywhere: score descending, then lowest
-``node_a``, then lowest ``node_b``.  Candidate merges select by that total
-order over values (not by arrival order), and ranked scores come from one
-fixed kernel, so the result is independent of block size.
+``node_a``, then lowest ``node_b``, where scores compare without their
+last ``_TIE_BITS`` mantissa bits (about 1e-12 relative in float64): cells
+tied to within rounding go to the lowest ids.  Candidate merges select by
+that total order over values (not by arrival order), and ranked scores
+come from one fixed kernel, so the result is independent of block size.
 
 Entry points:
 
@@ -42,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.embeddings import LowRankFactors, nonzero_rows, row_norms
-from repro.core.gsim_plus import GSimPlus
+from repro.core.gsim_plus import NUMERICAL_RANK_TOL, GSimPlus
 from repro.graphs.graph import Graph
 from repro.runtime import NULL_CONTEXT, ExecutionContext
 from repro.runtime.parallel import WorkerPool
@@ -76,49 +78,79 @@ def _factors_for(
     max_workers: "WorkerPool | int | None" = None,
     recompress_tol: float | None = None,
     precision: str = "float64",
+    initial_factors: tuple[np.ndarray, np.ndarray] | None = None,
+    **checkpointing,
 ) -> LowRankFactors:
-    """Run GSim+ and return the final factors (factored regime enforced).
+    """Run GSim+ cut at its numerical rank and return the final factors.
 
-    Uses the QR-compressed cap so the representation stays factored even
-    past ``2^k >= min(n_A, n_B)`` — the scan below needs U/V, not a dense Z.
-    ``recompress_tol`` / ``precision`` forward to the solver's
-    recompression and precision policies.
+    Every doubling step is recompressed at ``recompress_tol`` (default
+    :data:`~repro.core.gsim_plus.NUMERICAL_RANK_TOL`) to at most
+    ``min(n_A, n_B)`` columns, so U/V stay factored at any depth.
+    ``checkpointing`` forwards to :meth:`GSimPlus.iterate`.
     """
+    if recompress_tol is None:
+        recompress_tol = NUMERICAL_RANK_TOL
     solver = GSimPlus(
         graph_a,
         graph_b,
-        rank_cap="qr-compress",
+        rank_cap="none",
+        initial_factors=initial_factors,
         max_workers=max_workers,
         recompress_tol=recompress_tol,
         precision=precision,
     )
     state = None
-    for state in solver.iterate(iterations, context=context):
+    for state in solver.iterate(iterations, context=context, **checkpointing):
         pass
     assert state is not None and state.factors is not None
     return state.factors
 
 
-def _canonical_top_k(
-    scores: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int
-) -> np.ndarray:
-    """Indices of the ``k`` best candidates by ``(-score, row, col)``."""
-    return np.lexsort((cols, rows, -scores))[:k]
+def _ranked_factors(
+    graph_a: Graph, graph_b: Graph, iterations: int, context: ExecutionContext,
+    **options,
+) -> tuple[LowRankFactors, float]:
+    """:func:`_factors_for` and the Frobenius norm that scores divide by."""
+    factors = _factors_for(graph_a, graph_b, iterations, context=context, **options)
+    norm = factors.frobenius_norm(include_scale=False)
+    if norm == 0.0:
+        raise ZeroDivisionError("similarity collapsed to zero; no ranking exists")
+    return factors, norm
+
+
+_TIE_BITS = 12
+# Per score dtype: its bits' integer type, and the relative and absolute
+# slack of _tie_floor (a key spans 2^(_TIE_BITS + 1) ulps or subnormals).
+_TIE_DTYPES = {
+    np.dtype(f): (np.dtype(i), float(np.finfo(f).eps) * 2 ** (_TIE_BITS + 2),
+                  float(np.finfo(f).smallest_subnormal) * 2 ** (_TIE_BITS + 2))
+    for f, i in (("f4", "i4"), ("f8", "i8"))
+}
+
+
+def _tie_keys(scores: np.ndarray) -> np.ndarray:
+    """``scores`` less their last ``_TIE_BITS`` mantissa bits, rounded half up."""
+    bits = scores.view(_TIE_DTYPES[scores.dtype][0]) + (1 << (_TIE_BITS - 1))
+    bits &= -(1 << _TIE_BITS)
+    return bits.view(scores.dtype)
+
+
+def _tie_floor(score: float, dtype: np.dtype) -> np.floating:
+    """A value at or below every score whose tie key reaches ``score``'s."""
+    _, relative, absolute = _TIE_DTYPES[dtype]
+    return dtype.type(score - abs(score) * relative - absolute)
 
 
 def _row_top_k(row: np.ndarray, k: int) -> np.ndarray:
-    """Columns of the ``k`` largest entries, ties broken by lowest column.
-
-    Matches ``np.argsort(-row, kind="stable")[:k]`` exactly, but only the
-    (at most ``k + ties``) surviving candidates are sorted.
-    """
+    """Columns of the ``k`` largest entries by tie key, then lowest column;
+    only the (at most ``k + ties``) candidates that can place are sorted."""
     n = row.size
     if k >= n:
         candidates = np.arange(n)
     else:
         kth = row[np.argpartition(-row, k - 1)[k - 1]]
-        candidates = np.flatnonzero(row >= kth)
-    return candidates[np.lexsort((candidates, -row[candidates]))[:k]]
+        candidates = np.flatnonzero(row >= _tie_floor(float(kth), row.dtype))
+    return candidates[np.lexsort((candidates, _tie_keys(-row[candidates])))[:k]]
 
 
 class NonzeroRows(NamedTuple):
@@ -144,17 +176,20 @@ def rank_row(
 
     ``u_row`` is scored against the non-zero rows of V only.  Every zero
     row of V scores exactly 0, so its lowest ids are the only ones that
-    can place.  The order is ``np.argsort(-row, kind="stable")[:k]`` of
-    the full row: score descending, then lowest column.
+    can place.  The order is that of :func:`_row_top_k` on the full row:
+    tie key descending, then lowest column.
     """
+    if not np.count_nonzero(u_row):  # every column scores 0: the lowest ids place
+        cols = np.arange(min(k, targets.ids.size + targets.zero_ids.size))
+        return cols, np.zeros(cols.size, u_row.dtype)
     scores = targets.rows @ u_row
     best = _row_top_k(scores, k)
     cols, values = targets.ids[best], scores[best]
     zeros = targets.zero_ids[:k]
-    if zeros.size and (cols.size < k or values[-1] <= 0):
+    if zeros.size and (cols.size < k or values[-1] <= -_tie_floor(0.0, values.dtype)):
         cols = np.concatenate([cols, zeros])
         values = np.concatenate([values, np.zeros(zeros.size, values.dtype)])
-        order = np.lexsort((cols, -values))[:k]
+        order = np.lexsort((cols, -_tie_keys(values)))[:k]
         cols, values = cols[order], values[order]
     return cols, values
 
@@ -189,22 +224,22 @@ def _pruned_scan(
     Rows of U are visited in descending norm order, and each row block is
     scored against the prefix of V's rows (also in descending norm order)
     whose Cauchy-Schwarz bound ``||u_i|| ||v_j||`` reaches the running
-    k-th score; the scan stops at the first row whose bound against V's
-    largest row falls below it.  Bounds are padded by ``rho`` times
-    ``||u_i|| ||v_j||``, ``rho = 2 (w + 2) eps``, which exceeds the
-    rounding of a dot product (``w eps / 2``), of the two norms (at most
-    ``(w/4 + 2) eps`` each, see :func:`row_norms`) and of the bound
-    itself, and also the ``w eps`` by which two dot-product kernels can
-    differ.  So no pruned cell can score at or above the k-th score, and
-    ties still reach the canonical merge.  Bounds prune only once the
-    k-th score is positive.
+    floor of the k-th score's tie key (:func:`_tie_floor`); the scan stops
+    at the first row whose bound against V's largest row falls below it.
+    Bounds are padded by ``rho`` times ``||u_i|| ||v_j||``,
+    ``rho = 2 (w + 2) eps``, which exceeds the rounding of a dot product
+    (``w eps / 2``), of the two norms (at most ``(w/4 + 2) eps`` each, see
+    :func:`row_norms`) and of the bound itself, and also the ``w eps`` by
+    which two dot-product kernels can differ.  So no pruned cell's key
+    can reach the k-th key, and ties still reach the canonical merge.
+    Bounds prune only once that floor is positive.
 
     Each block is scored by BLAS, whose rounding varies with the block
     shape; the cells within rounding of the running k-th score (or of
     the block's own k-th) are then re-scored by :func:`_pair_scores`, and
-    only those scores are ranked.  The result therefore does not depend
-    on ``block_rows``.  If every row norm is equal, nothing prunes and
-    the scan scores every cell once.
+    only those scores are ranked, by ``(-tie key, row, col)``.  The result
+    therefore does not depend on ``block_rows``.  If every row norm is
+    equal, nothing prunes and the scan scores every cell once.
     """
     n_a, n_b = u.shape[0], v.shape[0]
     u_norms = row_norms(u)
@@ -221,18 +256,18 @@ def _pruned_scan(
     best_scores = np.empty(0, dtype=u.dtype)
     best_rows = np.empty(0, dtype=np.int64)
     best_cols = np.empty(0, dtype=np.int64)
-    threshold = -np.inf
+    floor = -np.inf
     start, stop, prefix = 0, n_a, n_b
     rows_scored = cells_scored = 0
     while start < stop:
         # Until a k-th score exists, score about k cells at a time: the
         # first threshold then costs one small selection, not a full block.
-        step = block_rows if threshold > -np.inf else -(-k // max(prefix, 1))
+        step = block_rows if floor > -np.inf else -(-k // max(prefix, 1))
         end = min(start + min(step, block_rows), stop)
         top = float(u_norms[start]) * grow
-        if threshold > 0:
+        if floor > 0:
             prefix = bisect.bisect_left(
-                v_norms, True, 0, prefix, key=lambda n: top * n < threshold
+                v_norms, True, 0, prefix, key=lambda n: top * n < floor
             )
         block = row_order[start:end]
         block_bytes = dense_matrix_bytes(block.size, prefix, itemsize=u.itemsize)
@@ -246,14 +281,14 @@ def _pruned_scan(
             flat = (u[block] @ v_t[:, :prefix]).ravel()
             # Bounds |BLAS score - _pair_scores score| for every cell here.
             slack = rho * float(u_norms[start]) * v_top
-            if threshold > -np.inf:
-                candidates = np.flatnonzero(flat >= threshold - slack)
+            if floor > -np.inf:
+                candidates = np.flatnonzero(flat >= floor - slack)
                 values = flat[candidates]
             else:
                 candidates, values = np.arange(flat.size), flat
         if values.size > k:
-            kth = -np.partition(-values, k - 1)[k - 1]
-            candidates = candidates[values >= kth - 2.0 * slack]
+            kth = float(-np.partition(-values, k - 1)[k - 1])
+            candidates = candidates[values >= _tie_floor(kth - slack, u.dtype) - slack]
         start = end
         if candidates.size == 0:
             continue
@@ -262,16 +297,15 @@ def _pruned_scan(
         merged_scores = np.concatenate([best_scores, _pair_scores(u, v, rows, cols)])
         merged_rows = np.concatenate([best_rows, rows])
         merged_cols = np.concatenate([best_cols, cols])
-        order = _canonical_top_k(merged_scores, merged_rows, merged_cols, k)
+        order = np.lexsort((merged_cols, merged_rows, -_tie_keys(merged_scores)))[:k]
         best_scores = merged_scores[order]
         best_rows = merged_rows[order]
         best_cols = merged_cols[order]
         if best_scores.size == k:
-            threshold = float(best_scores[-1])
-        if threshold > 0:
+            floor = _tie_floor(float(best_scores[-1]), u.dtype)
+        if floor > 0:
             stop = bisect.bisect_left(
-                u_norms, True, start, stop,
-                key=lambda n: n * grow * v_top < threshold,
+                u_norms, True, start, stop, key=lambda n: n * grow * v_top < floor
             )
     return best_scores, best_rows, best_cols, rows_scored, cells_scored
 
@@ -290,7 +324,8 @@ def scan_top_pairs(
     the same pairs.  The scan is exact and output-sensitive: rows are
     visited in descending norm order and cells that their norm bounds
     prove unable to place are never scored (see :func:`_pruned_scan`).
-    Ties break by lowest ``node_a`` then ``node_b``, and the result is
+    Ties, scores equal to within their last ``_TIE_BITS`` mantissa bits,
+    break by lowest ``node_a`` then ``node_b``, and the result is
     identical for every ``block_rows``.  Each call is one
     ``topk.scan_pairs`` operation of ``context``.
     """
@@ -329,10 +364,12 @@ def top_k_pairs(
     Pairs are ranked by their *unnormalised* factored scores; the ordering
     is identical to the normalised similarity (normalisation is a positive
     scalar), and returned scores are divided by ``||Z||_F`` for
-    interpretability.  Ties are broken by lowest ``node_a`` then lowest
-    ``node_b``; the result is independent of ``block_rows``.
-    ``max_workers`` applies to the build; the pair scan itself is serial
-    and pruned (see :func:`scan_top_pairs`).
+    interpretability.  Ties, cells whose scores agree to within rounding
+    (see :func:`scan_top_pairs`), are broken by lowest ``node_a`` then
+    lowest ``node_b``; the result is independent of ``block_rows``.  The build
+    is cut at the numerical rank (``recompress_tol``, default 1e-12, see
+    :func:`_factors_for`), and ``max_workers`` applies to it; the pair
+    scan itself is serial and pruned (see :func:`scan_top_pairs`).
 
     Examples
     --------
@@ -346,18 +383,10 @@ def top_k_pairs(
     k = check_positive_integer(k, "k")
     block_rows = check_positive_integer(block_rows, "block_rows")
     context = ExecutionContext.resolve(context)
-    factors = _factors_for(
-        graph_a,
-        graph_b,
-        iterations,
-        context=context,
-        max_workers=max_workers,
-        recompress_tol=recompress_tol,
-        precision=precision,
+    factors, norm = _ranked_factors(
+        graph_a, graph_b, iterations, context,
+        max_workers=max_workers, recompress_tol=recompress_tol, precision=precision,
     )
-    norm = factors.frobenius_norm(include_scale=False)
-    if norm == 0.0:
-        raise ZeroDivisionError("similarity collapsed to zero; no ranking exists")
     return scan_top_pairs(
         factors, k, block_rows=block_rows, context=context, norm=norm
     )
@@ -383,28 +412,21 @@ def top_k_for_queries(
     those of :meth:`repro.retrieval.GSimIndex.top_matches`.  Queries are
     handed out in chunks of ``block_rows``; each chunk is a checkpoint of
     ``context`` and charges its one-row working set against the ledger.
-    The scan after the build is one ``topk.query_scan`` operation.
+    The build is :func:`top_k_pairs`'s; the scan after it is one
+    ``topk.query_scan`` operation.
     """
     k = check_positive_integer(k, "k")
     block_rows = check_positive_integer(block_rows, "block_rows")
     context = ExecutionContext.resolve(context)
-    factors = _factors_for(
-        graph_a,
-        graph_b,
-        iterations,
-        context=context,
-        max_workers=max_workers,
-        recompress_tol=recompress_tol,
-        precision=precision,
+    factors, norm = _ranked_factors(
+        graph_a, graph_b, iterations, context,
+        max_workers=max_workers, recompress_tol=recompress_tol, precision=precision,
     )
     queries = resolve_node_index(
         queries_a, factors.shape[0], "queries_a",
         allow_empty=True, allow_duplicates=True,
     )
     k = min(k, factors.shape[1])
-    norm = factors.frobenius_norm(include_scale=False)
-    if norm == 0.0:
-        raise ZeroDivisionError("similarity collapsed to zero; no ranking exists")
     pool = WorkerPool.resolve(max_workers)
     u = factors.u
     targets = NonzeroRows.of(factors.v)

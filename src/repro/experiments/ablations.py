@@ -3,8 +3,8 @@
 Each ablation returns a list of ``(variant, seconds, extra)`` rows that the
 corresponding benchmark prints:
 
-* :func:`ablation_rank_cap` — GSim+ with the paper's dense fallback vs the
-  lossless QR compression vs unbounded factor growth.
+* :func:`ablation_rank_cap` — GSim+ with the paper's dense fallback vs
+  unbounded factor growth vs the index's cut at the numerical rank.
 * :func:`ablation_normalization` — normalise once at the end (Eq. 6) vs
   per-iteration scalar rescaling overhead.
 * :func:`ablation_query_extraction` — Algorithm 1's late row extraction vs
@@ -25,7 +25,7 @@ from repro.analysis.accuracy import frobenius_error
 from repro.baselines.gsim import gsim
 from repro.baselines.gsvd import gsvd
 from repro.baselines.rolesim import rolesim
-from repro.core.gsim_plus import gsim_plus
+from repro.core.gsim_plus import NUMERICAL_RANK_TOL, gsim_plus
 from repro.graphs.graph import Graph
 from repro.utils.timing import time_call
 
@@ -52,17 +52,21 @@ class AblationRow:
 def ablation_rank_cap(
     graph_a: Graph, graph_b: Graph, iterations: int = 12
 ) -> list[AblationRow]:
-    """Compare the three rank-cap behaviours at an iteration count deep
-    enough that ``2^k`` passes ``min(n_A, n_B)``.
+    """Compare the two rank-cap behaviours and the cut of index builds at
+    an iteration count deep enough that ``2^k`` passes ``min(n_A, n_B)``.
 
-    All three must produce the same similarity (exactness); they differ in
-    time/memory once the cap engages.
+    ``dense`` and ``none`` produce the same similarity (exactness); the
+    ``numerical-rank`` row cuts every step at ``NUMERICAL_RANK_TOL``, so
+    its width is the numerical rank and its drift about ``K * 1e-12``.
     """
+    cut = {"rank_cap": "none", "recompress_tol": NUMERICAL_RANK_TOL}
+    variants = (("dense", {"rank_cap": "dense"}), ("none", {"rank_cap": "none"}),
+                ("numerical-rank", cut))
     reference = None
     rows = []
-    for mode in ("dense", "qr-compress", "none"):
+    for name, options in variants:
         result, seconds = time_call(
-            gsim_plus, graph_a, graph_b, iterations=iterations, rank_cap=mode
+            gsim_plus, graph_a, graph_b, iterations=iterations, **options
         )
         if reference is None:
             reference = result.similarity
@@ -71,7 +75,7 @@ def ablation_rank_cap(
             drift = frobenius_error(result.similarity, reference)
         rows.append(
             AblationRow(
-                variant=mode,
+                variant=name,
                 seconds=seconds,
                 detail=f"width={result.final_width} drift={drift:.2e}",
             )

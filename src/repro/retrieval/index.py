@@ -17,8 +17,7 @@ import numpy as np
 
 from repro.core.batch import BatchQueryEngine
 from repro.core.embeddings import LowRankFactors, TruncationInfo
-from repro.core.gsim_plus import GSimPlus
-from repro.core.topk import ScoredPair, rank_row, scan_top_pairs
+from repro.core.topk import ScoredPair, _factors_for, rank_row, scan_top_pairs
 from repro.graphs.graph import Graph
 from repro.runtime import ExecutionContext, Metrics, WorkerPool
 from repro.runtime.errors import CorruptArtifactError
@@ -99,13 +98,16 @@ class GSimIndex:
         precision: str = "float64",
         max_workers: int | None = None,
     ) -> "GSimIndex":
-        """Iterate GSim+ (QR-compressed cap, so the result stays factored)
-        and wrap the final factors.
+        """Iterate GSim+ at its numerical rank and wrap the final factors.
 
-        ``recompress_tol`` enables rank-bounded recompression between
-        doubling steps and ``precision`` selects the factor dtype; both
-        are recorded in the metadata so a served score can be traced back
-        to its accuracy/precision envelope.
+        Every doubling step is recompressed at ``recompress_tol``, or at
+        :data:`repro.core.gsim_plus.NUMERICAL_RANK_TOL` (1e-12) when it is
+        ``None``, never to more than ``min(n_A, n_B)`` columns (see
+        :func:`repro.core.topk._factors_for`): scores are within about
+        ``K * tol`` relative Frobenius error of the exact ``2^K`` factors
+        of :class:`GSimPlus`.  The tolerance used, the last truncation and
+        ``precision`` are recorded in the metadata, so a served score can
+        be traced back to its accuracy/precision envelope.
 
         The build is one ``index.build`` operation of the context.  Its
         counters (spmm calls, per-iteration widths, bytes held, the
@@ -119,37 +121,27 @@ class GSimIndex:
         to :meth:`GSimPlus.iterate`, so an interrupted multi-hour build
         restarts at its last snapshotted iteration instead of from
         scratch.  ``max_workers`` is the solver's worker-thread count
-        (row-chunked SpMM; results are bit-identical at every count).
-        The default ``None`` runs one worker per CPU this process may
-        use (:class:`repro.runtime.WorkerPool`), unlike the serial
-        default of :class:`GSimPlus` and :func:`gsim_plus`; ``1`` is
-        serial.  The workers share
-        :class:`repro.graphs.mmap_csr.MmapCSRGraph` inputs without
-        copying them.
+        (row-chunked SpMM and the recompression's TSQR; results are
+        bit-identical at every count).  The default ``None`` runs one
+        worker per CPU this process may use
+        (:class:`repro.runtime.WorkerPool`), unlike the serial default of
+        :class:`GSimPlus` and :func:`gsim_plus`; ``1`` is serial.  The
+        workers share :class:`repro.graphs.mmap_csr.MmapCSRGraph` inputs
+        without copying them.
         """
         iterations = check_positive_integer(iterations, "iterations")
         if context is None:
             context = ExecutionContext(metrics=Metrics())
-        solver = GSimPlus(
-            graph_a,
-            graph_b,
-            rank_cap="qr-compress",
-            initial_factors=initial_factors,
-            recompress_tol=recompress_tol,
-            precision=precision,
-            max_workers=WorkerPool(max_workers),
-        )
-        state = None
         with context.operation("index.build", iterations=iterations):
-            for state in solver.iterate(
-                iterations,
-                context=context,
-                checkpoints=checkpoints,
-                checkpoint_every=checkpoint_every,
+            factors = _factors_for(
+                graph_a, graph_b, iterations, context=context,
+                max_workers=WorkerPool(max_workers), recompress_tol=recompress_tol,
+                precision=precision, initial_factors=initial_factors,
+                checkpoints=checkpoints, checkpoint_every=checkpoint_every,
                 resume_from=resume_from,
-            ):
-                pass
-        assert state is not None and state.factors is not None
+            )
+        truncation = factors.truncation
+        assert truncation is not None
         metadata = IndexMetadata(
             n_a=graph_a.num_nodes,
             n_b=graph_b.num_nodes,
@@ -161,14 +153,10 @@ class GSimIndex:
             content_prior=initial_factors is not None,
             build_metrics=context.metrics.snapshot(),
             precision=precision,
-            recompress_tol=recompress_tol,
-            truncation=(
-                state.factors.truncation.to_dict()
-                if state.factors.truncation is not None
-                else None
-            ),
+            recompress_tol=truncation.tolerance,
+            truncation=truncation.to_dict(),
         )
-        return cls(state.factors, metadata)
+        return cls(factors, metadata)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -334,9 +322,9 @@ class GSimIndex:
         """The ``k`` best G_B matches for one G_A node.
 
         The node's factor row is scored against V's non-zero rows only
-        (:func:`repro.core.topk.rank_row`); ties break by lowest
-        ``node_b``.  Each call is one ``index.top_matches`` operation of
-        the context.
+        (:func:`repro.core.topk.rank_row`); ties to within rounding break
+        by lowest ``node_b``.  Each call is one ``index.top_matches``
+        operation of the context.
         """
         context = ExecutionContext.resolve(context)
         with context.operation("index.top_matches") as operation:
@@ -394,10 +382,10 @@ class GSimIndex:
         :func:`repro.core.topk.scan_top_pairs` under bounded memory.
 
         Scores are globally normalised (entries of the unit-Frobenius
-        matrix); ties break by lowest ``node_a`` then ``node_b``, and the
-        result is identical for every ``block_rows``.  Each call is one
-        ``index.top_pairs`` operation of the context, enclosing the
-        scan's ``topk.scan_pairs`` operation.
+        matrix); ties to within rounding break by lowest ``node_a`` then
+        ``node_b``, and the result is identical for every ``block_rows``.
+        Each call is one ``index.top_pairs`` operation of the context,
+        enclosing the scan's ``topk.scan_pairs`` operation.
         """
         k = check_positive_integer(k, "k")
         block_rows = check_positive_integer(block_rows, "block_rows")

@@ -22,7 +22,11 @@ def pair():
 class TestRankCapAblation:
     def test_three_variants(self, pair):
         rows = ablation_rank_cap(*pair, iterations=8)
-        assert [r.variant for r in rows] == ["dense", "qr-compress", "none"]
+        assert [r.variant for r in rows] == ["dense", "none", "numerical-rank"]
+        cut = rows[-1]
+        assert int(cut.detail.split()[0].split("=")[1]) <= min(
+            pair[0].num_nodes, pair[1].num_nodes
+        )
 
     def test_all_variants_exact(self, pair):
         rows = ablation_rank_cap(*pair, iterations=8)

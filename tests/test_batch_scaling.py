@@ -18,7 +18,7 @@ from repro.graphs import erdos_renyi_graph, random_node_sample
 def engine_and_reference():
     graph_a = erdos_renyi_graph(30, 120, seed=1)
     graph_b = random_node_sample(graph_a, 12, seed=2)
-    solver = GSimPlus(graph_a, graph_b, rank_cap="qr-compress")
+    solver = GSimPlus(graph_a, graph_b, rank_cap="none")
     state = None
     for state in solver.iterate(5):
         pass

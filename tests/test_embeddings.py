@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import LowRankFactors
+from repro.core.gsim_plus import NUMERICAL_RANK_TOL
 
 
 def random_factors(rng, n=7, m=5, w=3, log_scale=0.0):
@@ -108,12 +109,13 @@ class TestQueryBlock:
 
 
 class TestConditioning:
+    # The cut every index build makes: width at most min(n_rows, n_cols).
     def test_compressed_reduces_width(self, rng):
-        # width 10 > min(4, 6): compression must cut to 4.
+        # width 10 > min(4, 6): the cut must leave 4.
         f = LowRankFactors(
             rng.standard_normal((4, 10)), rng.standard_normal((6, 10))
         )
-        compressed = f.compressed()
+        compressed = f.recompressed(NUMERICAL_RANK_TOL)
         assert compressed.width == 4
         np.testing.assert_allclose(
             compressed.materialize(), f.materialize(), atol=1e-10
@@ -123,15 +125,15 @@ class TestConditioning:
         f = LowRankFactors(
             rng.standard_normal((6, 10)), rng.standard_normal((4, 10))
         )
-        compressed = f.compressed()
+        compressed = f.recompressed(NUMERICAL_RANK_TOL)
         assert compressed.width == 4
         np.testing.assert_allclose(
             compressed.materialize(), f.materialize(), atol=1e-10
         )
 
     def test_compressed_noop_when_slim(self, rng):
-        f = random_factors(rng)  # width 3 < min(7, 5)
-        assert f.compressed().width == 3
+        f = random_factors(rng)  # width 3 < min(7, 5), full rank
+        assert f.recompressed(NUMERICAL_RANK_TOL).width == 3
 
     def test_repr(self, rng):
         assert "width=3" in repr(random_factors(rng))

@@ -23,9 +23,10 @@ import threading
 import numpy as np
 import pytest
 
+import repro.core.topk as topk
 from repro.core.batch import BatchQueryEngine
 from repro.core.embeddings import LowRankFactors
-from repro.core.gsim_plus import GSimPlus
+from repro.core.gsim_plus import NUMERICAL_RANK_TOL, GSimPlus
 from repro.core.topk import scan_top_pairs, top_k_for_queries, top_k_pairs
 from repro.experiments.journal import RunJournal
 from repro.experiments.runner import (
@@ -212,14 +213,17 @@ class TestIndexBuildWorkers:
 # Factor-step bit-identity
 # ----------------------------------------------------------------------
 class TestFactorStepEquivalence:
-    @pytest.mark.parametrize("rank_cap", ["dense", "qr-compress", "none"])
-    def test_bit_identical_across_workers(self, graph_pair, rank_cap):
+    @pytest.mark.parametrize("variant", ["dense", "none", "numerical-rank"])
+    def test_bit_identical_across_workers(self, graph_pair, variant):
         graph_a, graph_b = graph_pair
-        iterations = 5 if rank_cap == "none" else 10
-        reference = GSimPlus(graph_a, graph_b, rank_cap=rank_cap).run(iterations)
+        options = {"rank_cap": variant}
+        if variant == "numerical-rank":
+            options = {"rank_cap": "none", "recompress_tol": NUMERICAL_RANK_TOL}
+        iterations = 5 if variant == "none" else 10
+        reference = GSimPlus(graph_a, graph_b, **options).run(iterations)
         for workers in WORKER_COUNTS[1:]:
             result = GSimPlus(
-                graph_a, graph_b, rank_cap=rank_cap, max_workers=workers
+                graph_a, graph_b, max_workers=workers, **options
             ).run(iterations)
             assert np.array_equal(reference.similarity, result.similarity)
             assert reference.z_frobenius_log == result.z_frobenius_log
@@ -347,18 +351,25 @@ class TestTopKEquivalence:
                 )
                 assert result == reference
 
-    def test_queries_memory_stays_bounded(self, graph_pair):
-        """The blocked query scan must never charge the full |Q| x n_B."""
+    def test_queries_memory_stays_bounded(self, graph_pair, monkeypatch):
+        """The blocked query scan must never charge the full |Q| x n_B.
+
+        The factors are built outside the ledger, so it holds the scan's
+        own charges only (the build's recompression charges more than
+        this pair's full block).
+        """
         graph_a, graph_b = graph_pair
         queries = list(range(graph_a.num_nodes)) * 4  # |Q| = 4 n_A
         block_rows = 16
         full_bytes = len(queries) * graph_b.num_nodes * 8
+        factors = topk._factors_for(graph_a, graph_b, 6)
+        monkeypatch.setattr(topk, "_factors_for", lambda *args, **kwargs: factors)
         context = ExecutionContext(memory=MemoryLedger(1 << 30))
         top_k_for_queries(
             graph_a, graph_b, queries, k=5, iterations=6,
             block_rows=block_rows, context=context,
         )
-        assert context.memory.peak_bytes < full_bytes
+        assert 0 < context.memory.peak_bytes < full_bytes
         assert context.memory.held_bytes == 0
 
     def test_cancellation_fires_mid_scan(self, graph_pair):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro import Graph, GSimPlus, LowRankFactors, gsim, gsim_plus
 from repro.analysis import frobenius_error
+from repro.core.gsim_plus import NUMERICAL_RANK_TOL
 from repro.graphs import (
     convert_edge_list,
     read_edge_list,
@@ -123,13 +124,20 @@ class TestTheorem31Property:
     def test_rank_cap_modes_agree(self, pair, k):
         graph_a, graph_b = pair
         results = {}
-        for mode in ("dense", "qr-compress", "none"):
+        variants = {
+            "dense": {"rank_cap": "dense"},
+            "none": {"rank_cap": "none"},
+            "numerical-rank": {
+                "rank_cap": "none", "recompress_tol": NUMERICAL_RANK_TOL
+            },
+        }
+        for name, options in variants.items():
             try:
-                results[mode] = gsim_plus(
-                    graph_a, graph_b, iterations=k, rank_cap=mode
+                results[name] = gsim_plus(
+                    graph_a, graph_b, iterations=k, **options
                 ).similarity
             except ZeroDivisionError:
-                results[mode] = None
+                results[name] = None
         values = list(results.values())
         if values[0] is None:
             assert all(v is None for v in values)
@@ -178,8 +186,8 @@ class TestFactorAlgebraProperty:
     @_settings
     @given(f=factors())
     def test_compressed_is_equivalent(self, f):
-        compressed = f.compressed()
-        assert compressed.width <= max(f.width, min(f.shape))
+        compressed = f.recompressed(NUMERICAL_RANK_TOL)
+        assert compressed.width <= min(f.width, *f.shape)
         np.testing.assert_allclose(
             compressed.materialize(), f.materialize(), atol=1e-7
         )

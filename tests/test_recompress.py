@@ -5,6 +5,10 @@ Covers the first-class ``LowRankFactors`` representation end to end:
 * the rank-bounded recompression step (TSQR R factors + small SVD +
   tail-energy truncation), its relative-error contract against a dense
   SVD oracle, exact zero rows and the zero-matrix contract,
+* the TSQR's fixed reduction tree: bit-identical R at every worker count,
+  ``R^T R = F^T F`` to rounding, empty chunks and short or float32 factors,
+* the default cut of index builds at the numerical rank against dense
+  Eq. (2),
 * the precision policy (float64 exact default, opt-in float32) and
   float32-vs-float64 parity on the paper's worked example,
 * width bounded by numerical rank instead of the ``2^k`` doubling
@@ -16,14 +20,24 @@ Covers the first-class ``LowRankFactors`` representation end to end:
   for recompression steps.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.baselines.gsim import gsim
 from repro.core import LowRankFactors, TruncationInfo, error_bound
-from repro.core.gsim_plus import DEFAULT_RECOMPRESS_TOL, GSimPlus, gsim_plus
-from repro.graphs import erdos_renyi_graph, load_dataset_pair
+from repro.core.embeddings import _tsqr_r
+from repro.core.gsim_plus import (
+    DEFAULT_RECOMPRESS_TOL,
+    NUMERICAL_RANK_TOL,
+    GSimPlus,
+    gsim_plus,
+)
+from repro.core.topk import top_k_pairs
+from repro.graphs import Graph, erdos_renyi_graph, load_dataset_pair
 from repro.retrieval import GSimIndex
-from repro.runtime import ExecutionContext, Metrics
+from repro.runtime import ExecutionContext, Metrics, WorkerPool
 from repro.utils.memory import MemoryTracker
 
 pytestmark = pytest.mark.recompress
@@ -246,6 +260,139 @@ class TestRecompressed:
 
 
 # ----------------------------------------------------------------------
+# The TSQR: a fixed reduction tree on a worker pool
+# ----------------------------------------------------------------------
+def _small_chunks(monkeypatch, rows=64):
+    """Cut the TSQR into ``rows``-row chunks, so a test-sized factor
+    reduces through more than one tree level."""
+    module = sys.modules[LowRankFactors.__module__]
+    monkeypatch.setattr(module, "_TSQR_CHUNK_ROWS", rows)
+
+
+def _gram_error(r, factor):
+    """``max |R^T R - F^T F|`` over ``w eps ||F||_F^2``."""
+    wide = np.asarray(factor, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
+    eps = np.finfo(factor.dtype).eps
+    scale = factor.shape[1] * eps * float(np.sum(wide * wide))
+    return float(np.abs(r.T @ r - wide.T @ wide).max()) / scale
+
+
+class TestTSQR:
+    @staticmethod
+    def _factor(dtype=np.float64, seed=3):
+        rng = np.random.default_rng(seed)
+        factor = rng.standard_normal((2000, 8)).astype(dtype)
+        factor[rng.random(2000) < 0.3] = 0.0
+        factor[64:128] = 0.0  # one whole chunk of zero rows
+        return factor
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_r_identical_at_every_worker_count(self, monkeypatch, dtype):
+        _small_chunks(monkeypatch)
+        factor = self._factor(dtype)
+        serial = _tsqr_r(factor, WorkerPool(1))
+        assert serial.dtype == dtype and serial.shape == (8, 8)
+        for workers in (2, 3):
+            assert np.array_equal(_tsqr_r(factor, WorkerPool(workers)), serial)
+
+    @pytest.mark.parametrize("chunk_rows", [64, 4096])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gram_matches_factor(self, monkeypatch, chunk_rows, dtype):
+        _small_chunks(monkeypatch, chunk_rows)
+        factor = self._factor(dtype)
+        assert _gram_error(_tsqr_r(factor, WorkerPool(2)), factor) <= 1.0
+
+    def test_zero_chunk_and_zero_factor(self, monkeypatch):
+        _small_chunks(monkeypatch)
+        factor = self._factor()
+        assert not factor[64:128].any()
+        assert _gram_error(_tsqr_r(factor, WorkerPool(2)), factor) <= 1.0
+        empty = _tsqr_r(np.zeros((300, 5)), WorkerPool(2))
+        assert empty.shape == (0, 5)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_fewer_nonzero_rows_than_columns(self, monkeypatch, dtype, rng):
+        _small_chunks(monkeypatch)
+        factor = np.zeros((500, 8), dtype=dtype)
+        factor[[3, 200, 499]] = rng.standard_normal((3, 8))
+        r = _tsqr_r(factor, WorkerPool(3))
+        assert r.shape == (3, 8) and r.dtype == dtype
+        assert _gram_error(r, factor) <= 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_recompressed_identical_at_every_worker_count(self, monkeypatch, dtype):
+        _small_chunks(monkeypatch)
+        rng = np.random.default_rng(8)
+        mix = rng.standard_normal((5, 12))
+        u = rng.standard_normal((1500, 5)) @ mix
+        u[rng.random(1500) < 0.4] = 0.0
+        v = rng.standard_normal((700, 5)) @ mix
+        factors = LowRankFactors(u, v, log_scale=0.5).astype(dtype)
+        serial = factors.recompressed(1e-6, max_workers=1)
+        assert serial.width == 5 and serial.dtype == dtype
+        for workers in (2, 3):
+            other = factors.recompressed(1e-6, max_workers=WorkerPool(workers))
+            assert np.array_equal(other.u, serial.u)
+            assert np.array_equal(other.v, serial.v)
+            assert other.truncation == serial.truncation
+
+
+# ----------------------------------------------------------------------
+# The default of index builds: the cut at the numerical rank
+# ----------------------------------------------------------------------
+def _isolated_pair():
+    # Nodes 9-11 of G_A and 5-6 of G_B have no edges: zero factor rows.
+    graph_a = Graph.from_edges(
+        12, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
+             (7, 8), (8, 0), (4, 1)]
+    )
+    graph_b = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
+    return graph_a, graph_b, 8
+
+
+def _single_node_pair():
+    # n_B = 1: the cut keeps one column however wide the step grows.
+    return erdos_renyi_graph(20, 60, seed=5), Graph.from_edges(1, [(0, 0)]), 7
+
+
+def _deep_pair():
+    # 2^K = 64 passes min(n_A, n_B) = 9.
+    graph_a = erdos_renyi_graph(30, 100, seed=6)
+    graph_b = erdos_renyi_graph(9, 25, seed=7)
+    return graph_a, graph_b, 6
+
+
+@pytest.mark.parametrize(
+    "make_pair", [_isolated_pair, _single_node_pair, _deep_pair],
+    ids=["isolated", "n_b_1", "deep"],
+)
+class TestNumericalRankCut:
+    def test_index_matches_dense_eq2(self, make_pair):
+        graph_a, graph_b, iterations = make_pair()
+        dense = gsim(graph_a, graph_b, iterations=iterations).similarity
+        index = GSimIndex.build(graph_a, graph_b, iterations=iterations)
+        n_a, n_b = dense.shape
+        assert index.factors.width <= min(n_a, n_b)
+        assert index.metadata.recompress_tol == NUMERICAL_RANK_TOL
+        full = index.query(np.arange(n_a), np.arange(n_b))
+        error = np.linalg.norm(full - dense) / np.linalg.norm(dense)
+        assert error <= iterations * NUMERICAL_RANK_TOL, error
+
+    def test_top_k_pairs_match_dense_eq2(self, make_pair):
+        graph_a, graph_b, iterations = make_pair()
+        dense = gsim(graph_a, graph_b, iterations=iterations).similarity
+        k = min(10, dense.size)
+        pairs = top_k_pairs(graph_a, graph_b, k=k, iterations=iterations)
+        bound = iterations * NUMERICAL_RANK_TOL
+        scores = np.array([pair.score for pair in pairs])
+        cells = dense[[p.node_a for p in pairs], [p.node_b for p in pairs]]
+        assert np.abs(scores - cells).max() <= bound
+        best = np.sort(dense, axis=None)[::-1][:k]
+        assert np.abs(scores - best).max() <= bound
+
+
+# ----------------------------------------------------------------------
 # The solver: width bounding, accuracy, parity, metrics
 # ----------------------------------------------------------------------
 class TestSolverRecompression:
@@ -255,10 +402,10 @@ class TestSolverRecompression:
         graph_a, graph_b = load_dataset_pair("HP", scale="tiny", seed=7)
         iterations = 6
         exact = gsim_plus(
-            graph_a, graph_b, iterations=iterations, rank_cap="qr-compress"
+            graph_a, graph_b, iterations=iterations, rank_cap="none"
         )
         compressed = gsim_plus(
-            graph_a, graph_b, iterations=iterations, rank_cap="qr-compress",
+            graph_a, graph_b, iterations=iterations, rank_cap="none",
             recompress_tol=DEFAULT_RECOMPRESS_TOL,
         )
         assert compressed.final_width < 2**iterations
@@ -326,26 +473,42 @@ class TestSolverRecompression:
 
     def test_recompress_peak_memory_within_charge(self):
         """One recompression holds no more than the ledger charge it
-        takes before allocating."""
+        takes before allocating: with a pool, one gathered chunk and its
+        LAPACK copy per worker (a one-chunk factor holds one whatever the
+        pool), and the stacked chunk R's."""
         from repro.experiments.guards import MemoryBudget
 
-        graph_a = erdos_renyi_graph(20000, 40000, seed=23)
         graph_b = erdos_renyi_graph(3000, 6000, seed=24)
-        solver = GSimPlus(graph_a, graph_b, recompress_tol=1e-8)
-        factors = LowRankFactors.ones(solver.n_a, solver.n_b)
-        for _ in range(5):
-            factors = solver._step_factors(factors)
-        assert factors.width == 32
-        assert not factors.u.any(axis=1).all()  # isolated nodes: zero rows
-        context = ExecutionContext(memory=MemoryBudget().ledger())
-        with MemoryTracker() as tracker:
-            compact = solver._recompress(factors, 5, context)
-        charge = context.memory.peak_bytes
-        assert tracker.peak_bytes <= charge, tracker.peak_bytes / charge
-        assert charge == max(
-            factors.recompression_bytes(),
-            factors.recompression_bytes(compact.width),
-        )
+        for n_a, workers in ((20000, 1), (20000, 2), (4000, 4)):
+            graph_a = erdos_renyi_graph(n_a, 2 * n_a, seed=23)
+            solver = GSimPlus(
+                graph_a, graph_b, recompress_tol=1e-8, max_workers=workers
+            )
+            factors = LowRankFactors.ones(solver.n_a, solver.n_b)
+            for _ in range(5):
+                factors = solver._step_factors(factors)
+            assert factors.width == 32
+            assert not factors.u.any(axis=1).all()  # isolated: zero rows
+            if n_a <= 4096:  # one chunk per factor
+                assert factors.recompression_bytes(workers=workers) == (
+                    factors.recompression_bytes(workers=1)
+                )
+            context = ExecutionContext(memory=MemoryBudget().ledger())
+            with MemoryTracker() as tracker:
+                compact = solver._recompress(factors, 5, context)
+            charge = context.memory.peak_bytes
+            assert tracker.peak_bytes <= charge, (workers, tracker.peak_bytes / charge)
+            assert charge == max(
+                factors.recompression_bytes(workers=workers),
+                factors.recompression_bytes(compact.width),
+            )
+            # The TSQR phase alone, against its own charge.
+            pool = WorkerPool(workers)
+            with MemoryTracker() as tsqr:
+                r_u, r_v = _tsqr_r(factors.u, pool), _tsqr_r(factors.v, pool)
+                np.linalg.svd(r_u @ r_v.T)
+            tsqr_charge = factors.recompression_bytes(workers=workers)
+            assert tsqr.peak_bytes <= tsqr_charge, (workers, tsqr.peak_bytes / tsqr_charge)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_recompress_charge_follows_retained_rank(self, dtype):
@@ -449,5 +612,12 @@ class TestArtifactRoundTrips:
         graph_a, graph_b = random_pair
         index = GSimIndex.build(graph_a, graph_b, iterations=4)
         assert index.metadata.precision == "float64"
-        assert index.metadata.recompress_tol is None
-        assert index.metadata.truncation is None
+        assert index.metadata.recompress_tol == NUMERICAL_RANK_TOL == 1e-12
+        info = TruncationInfo.from_dict(index.metadata.truncation)
+        assert info == index.factors.truncation
+        assert info.tolerance == 1e-12
+        assert info.retained_rank == index.factors.width
+        cap = min(graph_a.num_nodes, graph_b.num_nodes)
+        assert info.retained_rank <= cap
+        assert info.retained_rank + info.discarded_rank <= 2 * cap
+        assert 0.0 <= info.discarded_energy <= 1e-12
