@@ -39,13 +39,6 @@ class Alignment:
         """Number of aligned pairs."""
         return len(self.pairs)
 
-    @property
-    def mean_score(self) -> float:
-        """Average similarity per aligned pair (0 for an empty alignment)."""
-        if not self.pairs:
-            return 0.0
-        return self.total_score / len(self.pairs)
-
     def as_dict(self) -> dict[int, int]:
         """The alignment as a ``row node -> column node`` mapping."""
         return dict(self.pairs)

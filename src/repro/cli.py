@@ -12,9 +12,9 @@ Usage (installed as ``gsimplus`` or via ``python -m repro.cli``)::
 Every subcommand runs under one :class:`repro.runtime.ExecutionContext`,
 and ``--metrics PATH`` writes its counter/gauge/histogram snapshot as
 JSON: experiment commands merge every cell's metrics into it (with the
-``sweep.cells`` / ``sweep.quarantined`` counters), ``topk``/``sim``/
-``live`` run on it, and ``accuracy``/``bound``/``datasets`` record their
-wall time as ``cli.<command>`` operations.
+``sweep.cells`` / ``sweep.quarantined`` counters), ``topk``/``sim``
+run on it, and ``accuracy``/``bound``/``datasets`` record their wall
+time as ``cli.<command>`` operations.
 
 ``--trace PATH`` (figures, ``all``, ``spec``, ``topk``, ``sim``) records
 a hierarchical span trace of the run and writes Chrome ``trace_event``
@@ -371,86 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_workers(sim)
     _add_precision(sim)
 
-    live = subparsers.add_parser(
-        "live",
-        help="replay a seeded mutation stream against a live similarity "
-        "session: background rebuilds, atomic generation swaps, and a "
-        "block/serve_stale/shed serving policy",
-    )
-    live.add_argument("--dataset", default="HP", help="dataset key")
-    live.add_argument(
-        "--scale",
-        default="tiny",
-        choices=("tiny", "small", "medium"),
-        help="dataset scale profile (default: tiny)",
-    )
-    live.add_argument(
-        "--seed", type=int, default=7, help="random seed (default: 7)"
-    )
-    live.add_argument(
-        "--iterations", "-k", type=int, default=6, help="iterations K"
-    )
-    live.add_argument(
-        "--policy",
-        default="serve_stale",
-        choices=("block", "serve_stale", "shed"),
-        help="what queries do while a rebuild is pending "
-        "(default: serve_stale)",
-    )
-    live.add_argument(
-        "--mutations",
-        type=int,
-        default=60,
-        metavar="N",
-        help="edge mutations to replay (default: 60)",
-    )
-    live.add_argument(
-        "--queries",
-        type=int,
-        default=120,
-        metavar="N",
-        help="queries to interleave with the stream (default: 120)",
-    )
-    live.add_argument(
-        "--max-version-lag",
-        type=int,
-        default=None,
-        metavar="N",
-        help="staleness budget: max graph versions a served generation "
-        "may lag (default: unbounded)",
-    )
-    live.add_argument(
-        "--max-age-seconds",
-        type=float,
-        default=None,
-        metavar="SEC",
-        help="staleness budget: max wall-clock age of a stale generation",
-    )
-    live.add_argument(
-        "--max-edge-delta",
-        type=int,
-        default=None,
-        metavar="N",
-        help="staleness budget: max edge mutations since the served "
-        "generation was built",
-    )
-    live.add_argument(
-        "--eager",
-        action="store_true",
-        help="enqueue rebuilds at write time instead of first-query time",
-    )
-    live.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="checkpoint rebuilds under DIR so killed builds resume",
-    )
-    _add_metrics(live)
-    _add_trace(live)
-    _add_telemetry(live)
-    _add_workers(live)
-    _add_precision(live)
-
     spec = subparsers.add_parser(
         "spec", help="run a declarative experiment from a JSON spec file"
     )
@@ -673,106 +593,6 @@ def _write_metrics(path: str, tree: dict) -> int:
     return 0
 
 
-def _run_live(args: argparse.Namespace, context) -> None:
-    """The ``live`` subcommand: a seeded writer/reader replay against a
-    lifecycle-managed session, reporting how the chosen policy behaved."""
-    import numpy as np
-
-    from repro.dynamic import DynamicGraph, SimilaritySession, StalenessBudget
-    from repro.graphs import load_dataset_pair
-    from repro.runtime import IndexUnavailableError
-
-    base_a, base_b = load_dataset_pair(
-        args.dataset, scale=args.scale, seed=args.seed
-    )
-    graph_a = DynamicGraph(base_a.num_nodes)
-    graph_a.add_edges([(s, d) for s, d, _ in base_a.edges()])
-    graph_b = DynamicGraph(base_b.num_nodes)
-    graph_b.add_edges([(s, d) for s, d, _ in base_b.edges()])
-
-    budget = None
-    if (
-        args.max_version_lag is not None
-        or args.max_age_seconds is not None
-        or args.max_edge_delta is not None
-    ):
-        budget = StalenessBudget(
-            max_version_lag=args.max_version_lag,
-            max_age_seconds=args.max_age_seconds,
-            max_edge_delta=args.max_edge_delta,
-        )
-    checkpoint_dir = None
-    if args.checkpoint_dir:
-        from pathlib import Path
-
-        checkpoint_dir = Path(args.checkpoint_dir)
-
-    rng = np.random.default_rng(args.seed)
-    served = shed = 0
-    with SimilaritySession(
-        graph_a,
-        graph_b,
-        iterations=args.iterations,
-        context=context,
-        policy=args.policy,
-        staleness_budget=budget,
-        eager_rebuild=args.eager,
-        checkpoint_dir=checkpoint_dir,
-        max_workers=args.workers,
-        precision=args.precision,
-        recompress_tol=args.recompress_tol,
-    ) as session:
-        print(f"G_A = {graph_a}")
-        print(f"G_B = {graph_b}")
-        session.refresh()  # generation 1, built before the stream
-        total = args.mutations + args.queries
-        plan = rng.permutation(
-            [True] * args.mutations + [False] * args.queries
-        )
-        for is_mutation in plan:
-            if is_mutation:
-                while True:
-                    src = int(rng.integers(graph_a.num_nodes))
-                    dst = int(rng.integers(graph_a.num_nodes))
-                    if src != dst and not graph_a.has_edge(src, dst):
-                        break
-                graph_a.add_edge(src, dst)
-            else:
-                node = int(rng.integers(graph_a.num_nodes))
-                try:
-                    info = session.query_info([node], [0])
-                except IndexUnavailableError:
-                    shed += 1
-                else:
-                    served += 1
-                    del info
-        # Settle: one final synchronous rebuild so the closing state
-        # is fresh and its generation installed.
-        session.refresh()
-        stats = session.stats
-        health = session.health()
-        print(
-            f"\nreplayed {total} events "
-            f"({args.mutations} mutations, {args.queries} queries) "
-            f"under policy={args.policy!r}"
-        )
-        print(
-            f"  served {served} queries ({stats.stale_served} stale), "
-            f"shed {shed}"
-        )
-        print(
-            f"  {stats.recomputes} rebuilds installed, "
-            f"{health['generations_built']} generations built, "
-            f"live generation {health['live_generation']} "
-            f"(fingerprint {health['live_fingerprint'][:12]})"
-        )
-        print(
-            f"  breaker {health['breaker']}, "
-            f"degraded={health['degraded']}, "
-            f"rejected mutations: {graph_a.rejected_mutations}"
-        )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
@@ -951,10 +771,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 else:
                     with np.printoptions(precision=4, suppress=True, threshold=400):
                         print(result.similarity)
-        return observed.code
-    if args.command == "live":
-        with _Observed(args) as observed:
-            _run_live(args, observed.context)
         return observed.code
     if args.command == "spec":
         from repro.experiments.export import write_csv

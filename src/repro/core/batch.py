@@ -1,41 +1,31 @@
-"""Batched query serving over precomputed factors.
+"""Query blocks served from precomputed factors.
 
-A retrieval service answers many query blocks against one factor pair.
-``BatchQueryEngine`` wraps :class:`repro.core.embeddings.LowRankFactors`
-with:
-
-* ``query_many`` — answer a list of ``(Q_A, Q_B)`` blocks, optionally on a
-  thread pool (the underlying BLAS products release the GIL, so threads
-  give real parallelism for large blocks);
-* ``stream_rows`` — iterate the full similarity row-block by row-block
-  under a hard memory bound, for exhaustive consumers (exports, rank
-  scans) that must never materialise ``n_A x n_B``.
+``BatchQueryEngine`` wraps one :class:`repro.core.embeddings.LowRankFactors`
+pair and answers ``query(Q_A, Q_B)`` blocks of the globally normalised
+similarity: entries of ``U V^T / ||U V^T||_F``, with the norm computed
+once, at construction.
 
 Factor rows that are exactly zero contribute nothing to any block, and
 GSim+ factors have many (the nodes no walk reaches).  The engine finds
 them once, at construction, and ``query`` multiplies only the non-zero
 rows and columns of each block into a zero-filled result.
 
-Both entry points accept an optional
-:class:`repro.runtime.ExecutionContext`: each served block is a
-checkpoint (deadline/cancellation polled, block bytes charged against the
-live memory budget), each ``query`` is one ``batch.query_block``
-operation, and block counts land in ``context.metrics`` under
-``batch.*``.  The :class:`repro.runtime.Metrics` sink is lock-protected,
-so the thread-pool path aggregates counters without losing increments.
+``query`` accepts an optional :class:`repro.runtime.ExecutionContext`:
+each block is one ``batch.query_block`` operation and a checkpoint
+(deadline/cancellation polled), and block and cell counts land in
+``context.metrics`` under ``batch.*``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.embeddings import LowRankFactors, nonzero_rows
 from repro.core.topk import NonzeroRows
 from repro.runtime import ExecutionContext
-from repro.runtime.parallel import WorkerPool
-from repro.utils.validation import check_positive_integer, resolve_node_index
+from repro.utils.validation import resolve_node_index
 
 __all__ = ["BatchQueryEngine"]
 
@@ -46,29 +36,22 @@ class BatchQueryEngine:
     Parameters
     ----------
     factors:
-        The precomputed (possibly loaded) low-embeddings.
-    normalization:
-        ``"global"`` (default): blocks are entries of the unit-Frobenius
-        full matrix; ``"block"``: each block normalised by its own norm
-        (Algorithm 1's convention).
+        The precomputed (possibly loaded) low-embeddings.  Blocks are
+        entries of the unit-Frobenius full matrix.
 
     Examples
     --------
     >>> import numpy as np
     >>> engine = BatchQueryEngine(
     ...     LowRankFactors(np.ones((4, 1)), np.ones((3, 1))))
-    >>> blocks = engine.query_many([([0, 1], [0]), ([2], [1, 2])])
-    >>> [b.shape for b in blocks]
-    [(2, 1), (1, 2)]
+    >>> engine.query([0, 1], [0]).shape
+    (2, 1)
+    >>> round(float(engine.query([2], [1, 2]).sum()), 6)   # 2 / sqrt(12)
+    0.57735
     """
 
-    def __init__(
-        self, factors: LowRankFactors, normalization: str = "global"
-    ) -> None:
-        if normalization not in ("global", "block"):
-            raise ValueError(f"unknown normalization {normalization!r}")
+    def __init__(self, factors: LowRankFactors) -> None:
         self._factors = factors
-        self._normalization = normalization
         self._global_norm = factors.frobenius_norm(include_scale=False)
         if self._global_norm == 0.0:
             raise ZeroDivisionError("factors represent the zero matrix")
@@ -131,13 +114,7 @@ class BatchQueryEngine:
             )
             cells = shape[0] * shape[1]
             operation.set_attribute("cells", cells)
-            if self._normalization == "block":
-                denominator = float(np.linalg.norm(live))
-                if denominator == 0.0:
-                    raise ZeroDivisionError("query block has zero norm")
-            else:
-                denominator = self._global_norm
-            live /= denominator
+            live /= self._global_norm
             if live.shape == shape:
                 block = live
             else:
@@ -146,63 +123,3 @@ class BatchQueryEngine:
             context.metrics.increment("batch.blocks_served")
             context.metrics.increment("batch.cells_served", cells)
             return block
-
-    def query_many(
-        self,
-        requests: Iterable[tuple[Sequence[int], Sequence[int]]],
-        max_workers: "WorkerPool | int | None" = None,
-        context: ExecutionContext | None = None,
-    ) -> list[np.ndarray]:
-        """Answer many blocks; ``max_workers > 1`` uses a worker pool.
-
-        Results come back in request order regardless of worker count, and
-        each block's scores are worker-count independent (blocks are
-        computed whole, never split).  Each block is a checkpoint of
-        ``context``; with a thread pool the workers share the same
-        lock-protected metrics sink, so counter increments are never lost
-        to races.
-        """
-        request_list = list(requests)
-        if isinstance(max_workers, int) and max_workers < 1:
-            max_workers = 1  # historical "0 means serial" tolerance
-        pool = WorkerPool.resolve(max_workers)
-        return pool.map(
-            lambda request: self.query(request[0], request[1], context=context),
-            request_list,
-            context=context,
-            what="batch query blocks",
-        )
-
-    def stream_rows(
-        self,
-        block_rows: int = 1024,
-        context: ExecutionContext | None = None,
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(start_row, normalised_block)`` covering every row.
-
-        Peak memory is ``O(block_rows * n_B)``; global normalisation is
-        used so concatenating the blocks reproduces the full matrix.  With
-        a context, every block is a checkpoint and its bytes are charged
-        against the live memory budget while it is the current block.
-        """
-        block_rows = check_positive_integer(block_rows, "block_rows")
-        context = ExecutionContext.resolve(context)
-        n_rows, n_cols = self._factors.shape
-        v_t = self._factors.v.T
-        itemsize = self._factors.dtype.itemsize
-        charged = 0
-        try:
-            for start in range(0, n_rows, block_rows):
-                stop = min(start + block_rows, n_rows)
-                context.checkpoint(f"stream_rows block at row {start}")
-                context.release(charged)
-                charged = 0
-                block_bytes = (stop - start) * n_cols * itemsize
-                context.charge(block_bytes, "stream_rows block")
-                charged = block_bytes
-                block = (self._factors.u[start:stop] @ v_t) / self._global_norm
-                context.metrics.increment("batch.blocks_served")
-                context.metrics.increment("batch.rows_streamed", stop - start)
-                yield start, block
-        finally:
-            context.release(charged)

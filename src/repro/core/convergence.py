@@ -11,6 +11,7 @@ full similarity matrix is never materialised while iterating.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,47 +78,51 @@ def iterate_to_convergence(
     max_iterations = check_positive_integer(max_iterations, "max_iterations")
 
     solver = GSimPlus(graph_a, graph_b, rank_cap=rank_cap)
+    queries_a = solver._resolve_queries(queries_a, solver.n_a, "queries_a")
+    queries_b = solver._resolve_queries(queries_b, solver.n_b, "queries_b")
     residuals: list[float] = []
     previous_even: LowRankFactors | None = None
     previous_even_dense: np.ndarray | None = None
     stopped_at: int | None = None
 
-    for state in solver.iterate(max_iterations, context=context):
-        if state.k == 0 or state.k % 2 != 0:
-            continue
-        if state.dense_z is not None:
-            # Dense fallback regime: compare normalised dense iterates.
-            current_dense = state.dense_z / np.linalg.norm(state.dense_z)
-            if previous_even_dense is not None:
-                residuals.append(
-                    float(np.linalg.norm(current_dense - previous_even_dense))
+    with closing(solver.iterate(max_iterations, context=context)) as states:
+        for state in states:
+            if state.k == 0 or state.k % 2 != 0:
+                continue
+            if state.dense_z is not None:
+                # Dense fallback regime: compare normalised dense iterates.
+                current_dense = state.dense_z / np.linalg.norm(state.dense_z)
+                if previous_even_dense is not None:
+                    residuals.append(
+                        float(np.linalg.norm(current_dense - previous_even_dense))
+                    )
+                previous_even_dense = current_dense
+                previous_even = None
+            else:
+                assert state.factors is not None
+                if previous_even is not None:
+                    residuals.append(
+                        state.factors.normalized_distance(previous_even)
+                    )
+                elif previous_even_dense is not None:
+                    dense = state.factors.materialize(include_scale=False)
+                    dense /= np.linalg.norm(dense)
+                    residuals.append(
+                        float(np.linalg.norm(dense - previous_even_dense))
+                    )
+                previous_even = LowRankFactors(
+                    state.factors.u.copy(),
+                    state.factors.v.copy(),
+                    state.factors.log_scale,
                 )
-            previous_even_dense = current_dense
-            previous_even = None
-        else:
-            assert state.factors is not None
-            if previous_even is not None:
-                residuals.append(state.factors.normalized_distance(previous_even))
-            elif previous_even_dense is not None:
-                dense = state.factors.materialize(include_scale=False)
-                dense /= np.linalg.norm(dense)
-                residuals.append(
-                    float(np.linalg.norm(dense - previous_even_dense))
-                )
-            previous_even = LowRankFactors(
-                state.factors.u.copy(),
-                state.factors.v.copy(),
-                state.factors.log_scale,
-            )
-            previous_even_dense = None
-        if residuals and residuals[-1] < tolerance:
-            stopped_at = state.k
-            break
-
+                previous_even_dense = None
+            if residuals and residuals[-1] < tolerance:
+                stopped_at = state.k
+                break
+    # Closing the iterator released its ledger charge; the last state is
+    # the answer, so its block is formed as ``run`` would form it.
     iterations = stopped_at if stopped_at is not None else max_iterations
-    result = solver.run(
-        iterations, queries_a=queries_a, queries_b=queries_b, context=context
-    )
+    result = solver._finalize(state, iterations, queries_a, queries_b)
     return ConvergenceReport(
         converged=stopped_at is not None,
         iterations=iterations,

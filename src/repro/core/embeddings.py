@@ -38,10 +38,10 @@ array properties:
 
 Everything that can be computed without materialising ``U @ V.T`` is: the
 Frobenius norm uses the Gram-trick
-``||U V^T||_F^2 = sum((U^T U) * (V^T V))`` and the convergence test's
-distance between two factored matrices uses
-``<U1 V1^T, U2 V2^T> = sum((U1^T U2) * (V1^T V2))``, both
-``O((n_A + n_B) w^2)`` instead of ``O(n_A n_B w)``.
+``||U V^T||_F^2 = sum((U^T U) * (V^T V))``, and the convergence test's
+distance between two factored matrices is ``||R_X R_Y^T||_F`` for the TSQR
+R factors of the stacked pair ``X = [U1/n1, -U2/n2]``, ``Y = [V1, V2]``,
+both ``O((n_A + n_B) w^2)`` instead of ``O(n_A n_B w)``.
 """
 
 from __future__ import annotations
@@ -330,10 +330,6 @@ class LowRankFactors:
         """Bytes held by the two factor arrays (for ledger charging)."""
         return self.u.nbytes + self.v.nbytes
 
-    def memory_bytes(self) -> int:
-        """Bytes held by the two factor arrays."""
-        return self.nbytes
-
     def astype(self, dtype: "np.dtype | str | type") -> "LowRankFactors":
         """A copy of these factors under the given precision policy."""
         wanted = _resolve_dtype(dtype)
@@ -379,18 +375,24 @@ class LowRankFactors:
     def normalized_distance(self, other: "LowRankFactors") -> float:
         """``|| self/||self|| - other/||other|| ||_F`` without materialising.
 
-        Used by the factored convergence test on even iterates.  Scales
-        cancel by construction.
+        The difference is ``X Y^T`` for the stacked factors
+        ``X = [U_1/n_1, -U_2/n_2]`` and ``Y = [V_1, V_2]``, so its norm is
+        ``||R_X R_Y^T||_F`` for the R factors of serial TSQRs of ``X`` and
+        ``Y``: a distance near rounding level is resolved rather than lost
+        to the cancellation of ``2 - 2 cos``.  Used by the factored
+        convergence test on even iterates.  Scales cancel by construction.
         """
         norm_self = self.frobenius_norm(include_scale=False)
         norm_other = other.frobenius_norm(include_scale=False)
         if norm_self == 0.0 or norm_other == 0.0:
             raise ZeroDivisionError("cannot normalise a zero matrix")
-        cross_u = self.u.T @ other.u
-        cross_v = self.v.T @ other.v
-        cosine = float(np.sum(cross_u * cross_v)) / (norm_self * norm_other)
-        # ||a - b||^2 = 2 - 2 cos for unit-norm a, b; clamp rounding noise.
-        return math.sqrt(max(2.0 - 2.0 * cosine, 0.0))
+        stacked_u = np.concatenate([self.u, other.u], axis=1, dtype=np.float64)
+        stacked_u[:, : self.width] /= norm_self
+        stacked_u[:, self.width :] /= -norm_other
+        stacked_v = np.concatenate([self.v, other.v], axis=1, dtype=np.float64)
+        serial = WorkerPool(1)
+        core = _tsqr_r(stacked_u, serial) @ _tsqr_r(stacked_v, serial).T
+        return float(np.linalg.norm(core))
 
     # ------------------------------------------------------------------
     # Materialisation

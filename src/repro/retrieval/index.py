@@ -78,7 +78,7 @@ class GSimIndex:
     def __init__(self, factors: LowRankFactors, metadata: IndexMetadata) -> None:
         self._factors = factors
         self._metadata = metadata
-        self._engine = BatchQueryEngine(factors, normalization="global")
+        self._engine = BatchQueryEngine(factors)
 
     # ------------------------------------------------------------------
     # Construction
@@ -278,9 +278,9 @@ class GSimIndex:
     def factors(self) -> LowRankFactors:
         """The served factor pair (immutable; shared, not copied).
 
-        Exposed for layers that compose indexes rather than querying
-        them one block at a time — the live-index lifecycle fingerprints
-        and leases whole generations through this.
+        Exposed for callers that read the whole pair rather than one
+        block at a time: the direct scans of :mod:`repro.core.topk`, or a
+        check of the factors against a dense oracle.
         """
         return self._factors
 
@@ -288,10 +288,6 @@ class GSimIndex:
     def shape(self) -> tuple[int, int]:
         """``(n_A, n_B)`` of the indexed similarity."""
         return self._factors.shape
-
-    def memory_bytes(self) -> int:
-        """Bytes held by the factor arrays."""
-        return self._factors.memory_bytes()
 
     def query(
         self,
@@ -339,38 +335,6 @@ class GSimIndex:
                 ScoredPair(node_a=node, node_b=int(col), score=float(score) / norm)
                 for col, score in zip(cols, scores)
             ]
-
-    def query_many(
-        self,
-        requests,
-        max_workers=None,
-        context: ExecutionContext | None = None,
-    ) -> list[np.ndarray]:
-        """Answer many query blocks, optionally across a worker pool.
-
-        Results come back in request order for every worker count.  Each
-        request goes through :meth:`query`, so every block contributes
-        one ``index.query`` operation; the batch as a whole is one
-        ``index.query_many`` operation, under whose span worker-shard
-        spans stitch.
-        """
-        request_list = list(requests)
-        if isinstance(max_workers, int) and max_workers < 1:
-            max_workers = 1  # historical "0 means serial" tolerance
-        pool = WorkerPool.resolve(max_workers)
-        context = ExecutionContext.resolve(context)
-        with context.operation(
-            "index.query_many",
-            requests=len(request_list),
-            workers=pool.max_workers,
-            width=self._factors.width,
-        ):
-            return pool.map(
-                lambda request: self.query(request[0], request[1], context=context),
-                request_list,
-                context=context,
-                what="index query blocks",
-            )
 
     def top_pairs(
         self,

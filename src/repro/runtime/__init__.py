@@ -1,7 +1,7 @@
 """Runtime layer: execution contexts, budgets, cancellation, metrics.
 
-Sits between :mod:`repro.utils` and the compute layers.  Every solver,
-retrieval, and serving loop in the library takes an
+Sits between :mod:`repro.utils` and the compute layers.  Every solver
+and retrieval loop in the library takes an
 :class:`ExecutionContext` (public entry points put the shared
 :data:`NULL_CONTEXT` in place of ``None``), polls its deadline and
 cancellation token at checkpoints, charges working sets against its live
@@ -39,7 +39,6 @@ from repro.runtime.errors import (
     Cancelled,
     CorruptArtifactError,
     DeadlineExceeded,
-    IndexUnavailableError,
     InjectedFault,
     MemoryBudgetExceeded,
     TransientError,
@@ -91,7 +90,6 @@ __all__ = [
     "ExecutionContext",
     "FaultInjector",
     "HISTOGRAM_BUCKETS",
-    "IndexUnavailableError",
     "InjectedFault",
     "MemoryBudget",
     "MemoryBudgetExceeded",

@@ -124,11 +124,6 @@ class MemoryLedger:
         with self._lock:
             return self._peak
 
-    def allows(self, num_bytes: float) -> bool:
-        """Whether charging ``num_bytes`` more would stay within budget."""
-        with self._lock:
-            return self._held + int(num_bytes) <= self.limit_bytes
-
     def charge(self, num_bytes: float, what: str = "allocation") -> None:
         """Account ``num_bytes`` held; raise when the ceiling is pierced."""
         amount = int(num_bytes)
@@ -175,10 +170,6 @@ class MemoryBudget:
                 f"budget {format_bytes(self.limit_bytes)}"
             )
 
-    def allows(self, predicted_bytes: float) -> bool:
-        """Non-raising variant of :meth:`check`."""
-        return predicted_bytes <= self.limit_bytes
-
     def ledger(self) -> MemoryLedger:
         """Open a live :class:`MemoryLedger` against this ceiling."""
         return MemoryLedger(self.limit_bytes)
@@ -216,7 +207,3 @@ class Deadline:
     def arm(self) -> WallClockDeadline:
         """Start a cooperative wall-clock deadline for one run."""
         return WallClockDeadline(self.limit_seconds)
-
-    def allows(self, predicted_seconds: float) -> bool:
-        """Whether the predictive stage would let this cell run."""
-        return predicted_seconds <= self.limit_seconds * self.predictive_factor

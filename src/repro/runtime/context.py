@@ -105,11 +105,10 @@ class ExecutionContext:
     slow_queries:
         An optional :class:`repro.runtime.telemetry.SlowQueryLog`.
         Every :meth:`operation` (``GSimIndex.build``/``query``/
-        ``top_matches``/``query_many``/``top_pairs``, the top-k scans,
-        batch blocks, lifecycle rebuilds) reports its latency to it on
-        exit; calls above its threshold land in the bounded ring as
-        structured records.  ``None`` (the default) costs one ``is
-        None`` check per operation.
+        ``top_matches``/``top_pairs``, the top-k scans, batch blocks)
+        reports its latency to it on exit; calls above its threshold
+        land in the bounded ring as structured records.  ``None`` (the
+        default) costs one ``is None`` check per operation.
 
     Examples
     --------

@@ -21,7 +21,6 @@ __all__ = [
     "Cancelled",
     "CorruptArtifactError",
     "DeadlineExceeded",
-    "IndexUnavailableError",
     "InjectedFault",
     "MemoryBudgetExceeded",
     "TransientError",
@@ -88,42 +87,6 @@ class InjectedFault(TransientError):
     def __init__(self, message: str, *, checkpoint_number: int = 0) -> None:
         super().__init__(message)
         self.checkpoint_number = checkpoint_number
-
-
-class IndexUnavailableError(RuntimeError):
-    """A query was shed because no acceptable index generation exists.
-
-    Raised by the live-index lifecycle layer when the serving policy
-    cannot be satisfied: a ``shed``-policy query found only generations
-    beyond the staleness budget, a ``block``-policy wait timed out, or
-    the rebuild circuit breaker is open and no last-good generation is
-    available to pin.  Structured so admission-control layers can map it
-    to a retryable 503 instead of an opaque failure.
-
-    Attributes
-    ----------
-    reason:
-        One of ``"shed"`` (budget exceeded under a no-wait policy),
-        ``"timeout"`` (a blocking wait expired), ``"degraded"`` (the
-        circuit breaker is open), ``"rebuild_failed"`` (the rebuild a
-        blocking wait depended on failed), or ``"no_generation"``
-        (nothing has been built yet).
-    staleness:
-        JSON-friendly staleness measurement at decision time (see
-        :meth:`repro.dynamic.lifecycle.policy.Staleness.to_dict`), or
-        ``None`` when no generation exists.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        reason: str = "shed",
-        staleness: "dict[str, Any] | None" = None,
-    ) -> None:
-        super().__init__(message)
-        self.reason = reason
-        self.staleness = staleness
 
 
 class CorruptArtifactError(RuntimeError):

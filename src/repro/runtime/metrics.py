@@ -15,15 +15,16 @@ measurement are supported, all keyed by dot-separated names
   snapshots merge by plain bucket addition.
 
 Every kind is bounded by its set of names: nothing grows with the number
-of observations, so a sink attached to a long-lived session stays the
-same size however many rebuilds or queries it records.  Wall time is a
+of observations, so a sink attached to a long sweep stays the same size
+however many cells or queries it records.  Wall time is a
 histogram too; :meth:`repro.runtime.ExecutionContext.operation` records
 one per observed call.
 
 All mutators take one internal lock, so worker threads (e.g. the
-``BatchQueryEngine`` thread pool) can aggregate into a shared instance
-without losing increments.  :meth:`snapshot` returns a deep, JSON-ready
-copy that later mutation cannot alter — that is what a structured
+solver's row-chunk tasks on a :class:`repro.runtime.WorkerPool`) can
+aggregate into a shared instance without losing increments.
+:meth:`snapshot` returns a deep, JSON-ready copy that later mutation
+cannot alter — that is what a structured
 :class:`repro.runtime.errors.BudgetExceeded` carries.
 """
 

@@ -646,40 +646,6 @@ class CheckpointManager:
                 )
         return None
 
-    def clear(self) -> None:
-        """Delete every snapshot (e.g. after a run completes)."""
-        for step in self.steps():
-            self.path_for(step).unlink(missing_ok=True)
-
-    def prune(self, keep_last: int) -> int:
-        """Delete all but the newest ``keep_last`` snapshots.
-
-        Unlike the automatic per-:meth:`save` pruning (bounded by the
-        constructor's ``keep``), this is an explicit maintenance call for
-        long-lived owners — the background rebuild loop invokes it after
-        every successful generation swap so a session that rebuilds for
-        days never grows an unbounded checkpoint directory.  Returns the
-        number of snapshots removed.
-
-        Examples
-        --------
-        >>> import tempfile
-        >>> manager = CheckpointManager(tempfile.mkdtemp(), keep=10)
-        >>> for step in range(4):
-        ...     _ = manager.save(step, {"x": np.ones(1)})
-        >>> manager.prune(keep_last=1)
-        3
-        >>> manager.steps()
-        [3]
-        """
-        if keep_last < 0:
-            raise ValueError(f"keep_last must be non-negative, got {keep_last}")
-        steps = self.steps()
-        doomed = steps[: max(0, len(steps) - keep_last)]
-        for step in doomed:
-            self.path_for(step).unlink(missing_ok=True)
-        return len(doomed)
-
     # ------------------------------------------------------------------
     def _read(self, path: Path) -> Checkpoint:
         try:

@@ -182,8 +182,3 @@ class MemoryTracker:
         self.peak_bytes = max(0, peak - self._baseline)
         if self._started_tracemalloc:
             tracemalloc.stop()
-
-    @property
-    def peak_mib(self) -> float:
-        """Peak delta in mebibytes."""
-        return self.peak_bytes / (1024.0 * 1024.0)

@@ -34,47 +34,9 @@ class TestBatchQueryEngine:
             block, reference[np.ix_([0, 3], [1, 4])], atol=1e-10
         )
 
-    def test_query_many_order_preserved(self, engine_and_reference):
-        engine, _ = engine_and_reference
-        requests = [([0], [0]), ([1, 2], [3]), ([4], [5, 6, 7])]
-        blocks = engine.query_many(requests)
-        assert [b.shape for b in blocks] == [(1, 1), (2, 1), (1, 3)]
-
-    def test_threaded_matches_serial(self, engine_and_reference):
-        engine, _ = engine_and_reference
-        requests = [([i], [i % 12]) for i in range(20)]
-        serial = engine.query_many(requests)
-        threaded = engine.query_many(requests, max_workers=4)
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a, b)
-
-    def test_stream_rows_reconstructs_matrix(self, engine_and_reference):
-        engine, reference = engine_and_reference
-        chunks = []
-        for start, block in engine.stream_rows(block_rows=7):
-            chunks.append(block)
-        full = np.vstack(chunks)
-        np.testing.assert_allclose(full, reference, atol=1e-10)
-
-    def test_stream_rows_block_bound(self, engine_and_reference):
-        engine, _ = engine_and_reference
-        for _, block in engine.stream_rows(block_rows=4):
-            assert block.shape[0] <= 4
-
-    def test_block_normalization_mode(self):
-        factors = LowRankFactors(np.ones((4, 1)), np.ones((3, 1)))
-        engine = BatchQueryEngine(factors, normalization="block")
-        block = engine.query([0, 1], [0, 1])
-        assert np.linalg.norm(block) == pytest.approx(1.0)
-
     def test_zero_factors_rejected(self):
         with pytest.raises(ZeroDivisionError):
             BatchQueryEngine(LowRankFactors(np.zeros((2, 1)), np.zeros((2, 1))))
-
-    def test_bad_normalization(self):
-        factors = LowRankFactors(np.ones((2, 1)), np.ones((2, 1)))
-        with pytest.raises(ValueError, match="normalization"):
-            BatchQueryEngine(factors, normalization="nope")
 
 
 class TestScalingFit:

@@ -5,6 +5,7 @@ import pytest
 
 from repro import Graph, iterate_to_convergence
 from repro.core import GSimPlus
+from repro.runtime import ExecutionContext
 
 
 class TestIterateToConvergence:
@@ -36,7 +37,20 @@ class TestIterateToConvergence:
         report = iterate_to_convergence(graph_a, graph_b, tolerance=1e-5)
         solver = GSimPlus(graph_a, graph_b)
         direct = solver.run(report.iterations).similarity
-        np.testing.assert_allclose(report.similarity, direct, atol=1e-12)
+        np.testing.assert_array_equal(report.similarity, direct)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"tolerance": 1e-5}, {"tolerance": 1e-300, "max_iterations": 4}],
+        ids=["converged", "budget"],
+    )
+    def test_solves_once(self, random_pair, options):
+        # The block comes from the last iterate, not from a second solve,
+        # and the iterator's ledger charge is released.
+        context = ExecutionContext.start(memory_limit_bytes=1 << 30)
+        report = iterate_to_convergence(*random_pair, context=context, **options)
+        assert context.metrics.counter("gsim_plus.iterations") == report.iterations
+        assert context.memory.held_bytes == 0
 
     def test_queries_forwarded(self, random_pair):
         graph_a, graph_b = random_pair

@@ -42,7 +42,7 @@ class TestConstruction:
 
     def test_memory_bytes(self, rng):
         f = random_factors(rng)
-        assert f.memory_bytes() == (7 * 3 + 5 * 3) * 8
+        assert f.nbytes == (7 * 3 + 5 * 3) * 8
 
 
 class TestFactoredAlgebra:
@@ -73,12 +73,28 @@ class TestFactoredAlgebra:
 
     def test_normalized_distance_self_is_zero(self, rng):
         f = random_factors(rng)
-        assert f.normalized_distance(f) == pytest.approx(0.0, abs=1e-7)
+        assert f.normalized_distance(f) == pytest.approx(0.0, abs=1e-14)
 
     def test_normalized_distance_ignores_scale(self, rng):
         f = random_factors(rng)
         g = LowRankFactors(f.u.copy(), f.v.copy(), log_scale=9.0)
-        assert f.normalized_distance(g) == pytest.approx(0.0, abs=1e-7)
+        assert f.normalized_distance(g) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n_a", [500, 5000])  # one TSQR chunk, and two
+    def test_normalized_distance_resolves_rounding_level(self, rng, n_a):
+        # 2 - 2 cos cancels below ~1.5e-8; the R form must still read a
+        # 1e-11 perturbation, with a third of each factor's rows zero.
+        u = rng.standard_normal((n_a, 8))
+        v = rng.standard_normal((300, 8))
+        u[rng.permutation(n_a)[: n_a // 3]] = 0.0
+        v[rng.permutation(300)[:100]] = 0.0
+        f = LowRankFactors(u, v)
+        g = LowRankFactors(u + 1e-11 * rng.standard_normal(u.shape) * (u != 0), v)
+        a = f.materialize()
+        b = g.materialize()
+        dense = np.linalg.norm(a / np.linalg.norm(a) - b / np.linalg.norm(b))
+        assert 1e-12 < dense < 1e-10
+        assert f.normalized_distance(g) == pytest.approx(dense, rel=1e-3)
 
     def test_normalized_distance_zero_matrix_raises(self):
         zero = LowRankFactors(np.zeros((2, 1)), np.zeros((3, 1)))

@@ -56,9 +56,3 @@ class TestExamples:
         out = run_example("content_aware_matching.py")
         assert "structure + content  100.0%" in out
 
-    def test_evolving_recommendations(self):
-        out = run_example("evolving_recommendations.py")
-        assert "recomputes" in out and "cache hits" in out
-        recomputes = int(out.split(" recomputes")[0].split()[-1])
-        hits = int(out.split(" cache hits")[0].split()[-1])
-        assert hits > 0 and recomputes >= 1

@@ -23,18 +23,14 @@ class TestMemoryBudget:
         with pytest.raises(MemoryBudgetExceeded, match="GSim"):
             MemoryBudget(10).check(100, "GSim")
 
-    def test_allows(self):
-        budget = MemoryBudget(1000)
-        assert budget.allows(500)
-        assert not budget.allows(5000)
-
     def test_default_budget_calibration(self):
         # 256 MiB default: the small-profile EE dense S (~8000 x 1000 x 8 x 3
         # working set = 192 MB) fits, the WT one (~15000 x 1000 x 8 x 3 =
         # 360 MB) does not — the paper's survival pattern.
         budget = MemoryBudget()
-        assert budget.allows(8_000 * 1_000 * 8 * 3)
-        assert not budget.allows(15_000 * 1_000 * 8 * 3)
+        budget.check(8_000 * 1_000 * 8 * 3, "EE")  # no raise
+        with pytest.raises(MemoryBudgetExceeded, match="WT"):
+            budget.check(15_000 * 1_000 * 8 * 3, "WT")
 
 
 class TestDeadline:
@@ -43,11 +39,6 @@ class TestDeadline:
         deadline.check_predicted(299.0, "x")  # under 300: attempted
         with pytest.raises(DeadlineExceeded, match="exceeds"):
             deadline.check_predicted(301.0, "x")
-
-    def test_allows(self):
-        deadline = Deadline(limit_seconds=1.0, predictive_factor=10.0)
-        assert deadline.allows(9.0)
-        assert not deadline.allows(11.0)
 
     def test_arm_returns_wall_clock(self):
         armed = Deadline(limit_seconds=5.0).arm()

@@ -39,7 +39,7 @@ class TestBestAlignment:
     def test_empty_matrix(self):
         alignment = best_alignment(np.empty((0, 5)))
         assert alignment.size == 0
-        assert alignment.mean_score == 0.0
+        assert alignment.total_score == 0.0
 
     def test_bad_method(self):
         with pytest.raises(ValueError, match="method"):
@@ -48,10 +48,6 @@ class TestBestAlignment:
     def test_non_2d_rejected(self):
         with pytest.raises(ValueError, match="2-D"):
             best_alignment(np.ones(4))
-
-    def test_mean_score(self):
-        alignment = Alignment(pairs=((0, 0), (1, 1)), total_score=1.0)
-        assert alignment.mean_score == 0.5
 
 
 class TestAlignmentAccuracy:

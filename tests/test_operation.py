@@ -20,8 +20,6 @@ from repro.baselines import structsim_query
 from repro.core.batch import BatchQueryEngine
 from repro.core.gsim_plus import GSimPlus
 from repro.core.topk import scan_top_pairs, top_k_for_queries, top_k_pairs
-from repro.dynamic import DynamicGraph
-from repro.dynamic.lifecycle import IndexGenerationManager
 from repro.graphs import erdos_renyi_graph, random_node_sample
 from repro.retrieval import GSimIndex
 from repro.runtime import (
@@ -32,7 +30,6 @@ from repro.runtime import (
     InjectedFault,
     MemoryBudgetExceeded,
     Metrics,
-    RetryPolicy,
     SlowQueryLog,
     Tracer,
     WallClockDeadline,
@@ -63,24 +60,6 @@ def _fault(match: str) -> dict:
     return {"fault_injector": FaultInjector(fail_at=1, match=match)}
 
 
-def _rebuild(env, context, fails):
-    graphs = []
-    for graph in env.graphs:
-        dynamic = DynamicGraph(graph.num_nodes)
-        dynamic.add_edges([(src, dst) for src, dst, _ in graph.edges()])
-        graphs.append(dynamic)
-    with IndexGenerationManager(
-        *graphs,
-        iterations=ITERATIONS,
-        context=context,
-        retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0, max_delay=0.0),
-        rebuild_fault_injector=(
-            FaultInjector(fail_at=1, match="GSim+ iteration") if fails else None
-        ),
-    ) as manager:
-        return manager.warm()
-
-
 _BAD = 10**9  # an id past every graph's node count
 
 # name -> (call(env, context, fails), failing context options, raised type)
@@ -102,13 +81,6 @@ CASES = {
     "index.top_matches": (
         lambda env, context, fails: env.index.top_matches(
             _BAD if fails else 0, k=3, context=context
-        ),
-        dict,
-        IndexError,
-    ),
-    "index.query_many": (
-        lambda env, context, fails: env.index.query_many(
-            [([0], [1]), ([_BAD if fails else 2], [3])], context=context
         ),
         dict,
         IndexError,
@@ -139,7 +111,6 @@ CASES = {
         dict,
         IndexError,
     ),
-    "lifecycle.rebuild": (_rebuild, dict, InjectedFault),
 }
 
 
@@ -259,8 +230,8 @@ def test_null_context_is_shared_and_inert():
         NULL_CONTEXT.release(10**18)
         NULL_CONTEXT.metrics.increment("x")
         NULL_CONTEXT.metrics.observe_histogram("x_seconds", 1.0)
-    # A real context that borrows the null sink (as a lifecycle rebuild
-    # does) records nothing into it either.
+    # A real context that borrows the null sink records nothing into it
+    # either.
     with ExecutionContext(metrics=NULL_CONTEXT.metrics).operation("b"):
         pass
     assert NULL_CONTEXT.slow_queries is None
@@ -290,12 +261,6 @@ def _entry_points(env):
         "GSimIndex.query": lambda c: index.query(queries_a, queries_b, context=c),
         "GSimIndex.top_matches": lambda c: _scores(index.top_matches(3, 4, context=c)),
         "GSimIndex.top_pairs": lambda c: _scores(index.top_pairs(6, context=c)),
-        "GSimIndex.query_many": lambda c: index.query_many(
-            [(queries_a, queries_b), ([1], [0])], context=c
-        ),
-        "BatchQueryEngine.stream_rows": lambda c: [
-            block for _, block in env.engine.stream_rows(7, context=c)
-        ],
         "top_k_pairs": lambda c: _scores(
             top_k_pairs(graph_a, graph_b, 6, iterations=ITERATIONS, context=c)
         ),

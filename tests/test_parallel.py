@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 import repro.core.topk as topk
-from repro.core.batch import BatchQueryEngine
 from repro.core.embeddings import LowRankFactors
 from repro.core.gsim_plus import NUMERICAL_RANK_TOL, GSimPlus
 from repro.core.topk import scan_top_pairs, top_k_for_queries, top_k_pairs
@@ -405,34 +404,9 @@ class TestTopKEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Batched queries and the index
+# The index
 # ----------------------------------------------------------------------
 class TestServingEquivalence:
-    def test_query_many_identical_across_workers(self, graph_pair):
-        graph_a, graph_b = graph_pair
-        index = GSimIndex.build(graph_a, graph_b, iterations=6)
-        rng = np.random.default_rng(5)
-        requests = [
-            (
-                rng.integers(0, graph_a.num_nodes, size=4).tolist(),
-                rng.integers(0, graph_b.num_nodes, size=3).tolist(),
-            )
-            for _ in range(12)
-        ]
-        reference = index.query_many(requests)
-        for workers in WORKER_COUNTS:
-            blocks = index.query_many(requests, max_workers=workers)
-            assert len(blocks) == len(reference)
-            for got, expected in zip(blocks, reference):
-                assert np.array_equal(got, expected)
-
-    def test_engine_query_many_accepts_legacy_zero(self):
-        engine = BatchQueryEngine(
-            LowRankFactors(np.ones((4, 1)), np.ones((3, 1)))
-        )
-        blocks = engine.query_many([([0], [0, 1])], max_workers=0)
-        assert blocks[0].shape == (1, 2)
-
     def test_index_top_pairs_identical_across_blocks(self, graph_pair):
         graph_a, graph_b = graph_pair
         index = GSimIndex.build(graph_a, graph_b, iterations=6)

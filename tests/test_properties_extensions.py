@@ -68,7 +68,7 @@ class TestTopKProperty:
 class TestBatchEngineProperty:
     @_settings
     @given(pair=connected_pairs())
-    def test_stream_reconstructs(self, pair):
+    def test_full_query_reconstructs(self, pair):
         graph_a, graph_b = pair
         from repro.core import GSimPlus
 
@@ -77,7 +77,7 @@ class TestBatchEngineProperty:
         for state in solver.iterate(4):
             pass
         engine = BatchQueryEngine(state.factors)
-        full = np.vstack([block for _, block in engine.stream_rows(block_rows=2)])
+        full = engine.query(range(graph_a.num_nodes), range(graph_b.num_nodes))
         reference = gsim_plus(graph_a, graph_b, iterations=4).similarity
         assert frobenius_error(full, reference) < 1e-9
 

@@ -105,7 +105,6 @@ class TestPrecisionPolicy:
         factors = LowRankFactors(U2_QA, V2_QB)
         assert factors.width == 4
         assert factors.nbytes == U2_QA.nbytes + V2_QB.nbytes
-        assert factors.memory_bytes() == factors.nbytes
         assert factors.astype(np.float32).nbytes == factors.nbytes // 2
 
     def test_paper_example_float32_parity(self):
@@ -569,7 +568,7 @@ class TestArtifactRoundTrips:
         assert loaded.metadata.precision == "float32"
         assert loaded.metadata.recompress_tol == 1e-6
         assert loaded.metadata.truncation is not None
-        assert loaded.memory_bytes() == index.memory_bytes()
+        assert loaded.factors.nbytes == index.factors.nbytes
         queries = ([0, 1, 2], [0, 1])
         np.testing.assert_array_equal(
             loaded.query(*queries), index.query(*queries)

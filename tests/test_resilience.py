@@ -507,12 +507,6 @@ class TestCheckpointManager:
             manager.save(step, {"u": np.ones(2)})
         assert manager.steps() == [3, 4]
 
-    def test_clear(self, tmp_path):
-        manager = CheckpointManager(tmp_path)
-        manager.save(1, {"u": np.ones(2)})
-        manager.clear()
-        assert manager.steps() == []
-
 
 # ----------------------------------------------------------------------
 # FaultInjector

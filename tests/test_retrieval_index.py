@@ -51,7 +51,7 @@ class TestBuild:
         assert "iterations=6" in repr(index)
 
     def test_memory_reported(self, index):
-        assert index.memory_bytes() > 0
+        assert index.factors.nbytes > 0
 
 
 class TestPersistence:

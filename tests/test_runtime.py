@@ -2,8 +2,8 @@
 
 Covers the three scenarios the issue calls out explicitly — a deadline
 armed mid-run stopping GSim+ with partial metrics, a memory budget turning
-the dense rank-cap fallback into a structured failure, and thread-pooled
-``query_many`` aggregating counters without losing increments — plus the
+the dense rank-cap fallback into a structured failure, and metrics from
+worker threads aggregating without losing increments — plus the
 supporting pieces (Metrics semantics, ledger accounting, cancellation,
 the guards façade, and byte-identical no-context behaviour).
 """
@@ -15,8 +15,6 @@ import numpy as np
 import pytest
 
 from repro import gsim_plus
-from repro.core.batch import BatchQueryEngine
-from repro.core.embeddings import LowRankFactors
 from repro.core.gsim_plus import GSimPlus
 from repro.experiments import guards
 from repro.graphs import Graph
@@ -319,49 +317,6 @@ class TestGSimPlusUnderContext:
         np.testing.assert_allclose(
             dense.z_frobenius_log, exact.z_frobenius_log, rtol=1e-9
         )
-
-
-# ----------------------------------------------------------------------
-# BatchQueryEngine under a context
-# ----------------------------------------------------------------------
-class TestBatchUnderContext:
-    def _engine(self) -> BatchQueryEngine:
-        rng = np.random.default_rng(7)
-        return BatchQueryEngine(
-            LowRankFactors(rng.random((40, 4)), rng.random((30, 4)))
-        )
-
-    def test_query_many_threaded_counter_aggregation(self):
-        engine = self._engine()
-        requests = [([i % 40, (i + 1) % 40], [i % 30]) for i in range(64)]
-        context = ExecutionContext()
-        serial = engine.query_many(requests)
-        threaded = engine.query_many(requests, max_workers=4, context=context)
-        for expected, got in zip(serial, threaded):
-            np.testing.assert_array_equal(expected, got)
-        snap = context.snapshot()
-        assert snap["counters"]["batch.blocks_served"] == len(requests)
-        assert snap["counters"]["batch.cells_served"] == sum(
-            len(qa) * len(qb) for qa, qb in requests
-        )
-
-    def test_stream_rows_charges_blocks_and_releases(self):
-        engine = self._engine()
-        context = ExecutionContext.start(memory_limit_bytes=16 * 30 * 8)
-        blocks = list(engine.stream_rows(block_rows=16, context=context))
-        assert sum(b.shape[0] for _, b in blocks) == 40
-        assert context.memory is not None
-        assert context.memory.held_bytes == 0
-        assert context.metrics.counter("batch.rows_streamed") == 40
-
-    def test_stream_rows_deadline_checkpoint(self):
-        engine = self._engine()
-        context = ExecutionContext.start(deadline_seconds=0.005)
-        stream = engine.stream_rows(block_rows=16, context=context)
-        next(stream)
-        time.sleep(0.02)
-        with pytest.raises(DeadlineExceeded, match="stream_rows block"):
-            next(stream)
 
 
 # ----------------------------------------------------------------------

@@ -576,19 +576,16 @@ class TestRetrievalWiring:
         assert snap["counters"]["index.query.errors"] == 1
         assert slow.records()[-1].attributes["error"] is True
 
-    def test_top_pairs_and_query_many_record(self, pair):
+    def test_top_pairs_record(self, pair):
         index = GSimIndex.build(*pair, iterations=4)
         slow = SlowQueryLog(threshold_seconds=0.0)
         context = ExecutionContext(slow_queries=slow)
         index.top_pairs(5, context=context)
-        index.query_many([([0], [1]), ([2], [3])], context=context)
         operations = [r.operation for r in slow.records()]
         assert "index.top_pairs" in operations
-        assert "index.query_many" in operations
         assert "topk.scan_pairs" in operations  # nested core scan
         snap = context.snapshot()
         assert snap["histograms"]["index.top_pairs_seconds"]["count"] == 1
-        assert snap["histograms"]["index.query_many_seconds"]["count"] == 1
 
     def test_top_k_pairs_bit_identical_with_telemetry(self, pair):
         graph_a, graph_b = pair

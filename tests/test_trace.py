@@ -388,18 +388,6 @@ class TestTracedIndex:
         assert len(query_spans) == 100
         assert query_spans[0].attributes["cells"] == 1
 
-    def test_query_many_span_covers_all_requests(self):
-        a, b = _ring(16, seed=9), _ring(13, seed=10)
-        index = GSimIndex.build(a, b, iterations=3)
-        tracer = Tracer()
-        context = ExecutionContext(tracer=tracer)
-        requests = [([i], [0, 1]) for i in range(6)]
-        blocks = index.query_many(requests, max_workers=2, context=context)
-        assert len(blocks) == 6
-        (many,) = [s for s in tracer.spans() if s.name == "index.query_many"]
-        assert many.attributes["requests"] == 6
-        assert context.metrics.histogram("index.query_seconds")["count"] == 6
-
 
 class TestTracedSweep:
     def test_sweep_spans_nest_and_account_for_wall_time(self):

@@ -130,11 +130,6 @@ class TestMemory:
             block = np.ones((256, 256))
         assert tracker.peak_bytes >= block.nbytes * 0.9
 
-    def test_tracker_peak_mib(self):
-        with MemoryTracker() as tracker:
-            _ = np.ones((512, 512))  # 2 MiB
-        assert tracker.peak_mib >= 1.5
-
     def test_nested_trackers(self):
         with MemoryTracker() as outer:
             with MemoryTracker() as inner:
