@@ -11,7 +11,7 @@ Standalone script (not a pytest-benchmark suite) with two halves:
   artifact: one materialises the CSR arrays on the heap, one keeps them
   mmap-backed and drops clean pages (``release_pages``) after every
   block.  Peak-RSS deltas over the post-import baseline come from
-  :class:`repro.runtime.ResourceMonitor` (``/proc/self/status``).
+  ``VmRSS`` and ``VmHWM`` in ``/proc/self/status``.
 
 The output is pytest-benchmark-shaped JSON (``benchmarks[].fullname`` +
 ``stats``) so ``scripts/bench_gate.py`` can gate it; the RSS section
@@ -134,6 +134,16 @@ def run_timing() -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _proc_status_bytes(field: str) -> int:
+    """One ``/proc/self/status`` field (reported in KiB) in bytes."""
+    with open("/proc/self/status", encoding="ascii") as handle:
+        for line in handle:
+            key, _, rest = line.partition(":")
+            if key == field:
+                return int(rest.split()[0]) * 1024
+    raise KeyError(f"{field} not in /proc/self/status")
+
+
 def child_main(mode: str, root: str) -> int:
     """Fresh-process workload: blocked SpMM over the converted artifact.
 
@@ -144,10 +154,8 @@ def child_main(mode: str, root: str) -> int:
     """
     from repro.graphs import MmapCSRGraph
     from repro.graphs.mmap_csr import csr_from_arrays
-    from repro.runtime import Metrics, ResourceMonitor
 
-    monitor = ResourceMonitor(Metrics())
-    baseline = monitor.sample()["process.rss_bytes"]
+    baseline = _proc_status_bytes("VmRSS")
 
     graph = MmapCSRGraph(root)
     indptr = graph.adjacency.indptr
@@ -198,16 +206,16 @@ def child_main(mode: str, root: str) -> int:
             checksum += float((block @ dense).sum())
             if mode == "mmap":
                 graph.release_pages()
-            monitor.sample()
 
-    final = monitor.sample()
+    # VmHWM is the kernel's high-water mark of VmRSS over the process.
+    peak = _proc_status_bytes("VmHWM")
     print(
         json.dumps(
             {
                 "mode": mode,
                 "baseline_rss_bytes": baseline,
-                "peak_rss_bytes": final["process.peak_rss_bytes"],
-                "peak_delta_bytes": final["process.peak_rss_bytes"] - baseline,
+                "peak_rss_bytes": peak,
+                "peak_delta_bytes": peak - baseline,
                 "checksum": checksum,
             }
         )

@@ -6,38 +6,40 @@ Usage (installed as ``gsimplus`` or via ``python -m repro.cli``)::
     gsimplus fig3 --dataset EE --scale small
     gsimplus accuracy --scale tiny
     gsimplus all --scale tiny
-    gsimplus fig2 --scale tiny --metrics out.json   # dump runtime metrics
-    gsimplus spec exp.json --trace trace.json --trace-summary
+    gsimplus fig2 --scale tiny --metrics run.json   # write the run record
+    gsimplus fig7 --trace trace.json --trace-summary
+
+Figure sweeps run their cells one after another, each measured under
+its own deadline, memory budget and tracemalloc tracker, as the paper
+measured one cell at a time.
 
 Every subcommand runs under one :class:`repro.runtime.ExecutionContext`,
-and ``--metrics PATH`` writes its counter/gauge/histogram snapshot as
-JSON: experiment commands merge every cell's metrics into it (with the
-``sweep.cells`` / ``sweep.quarantined`` counters), ``topk``/``sim``
+and ``--metrics PATH`` writes the run's record as one JSON object: the
+context's counter/gauge/histogram snapshot, ``peak_rss_bytes`` (the
+process's peak resident set, read at exit), ``slow_queries`` (the
+:class:`repro.runtime.SlowQueryLog` of operations at or above
+``--slow-query-ms``) and, with ``--slo``, one verdict per objective
+under ``slo``.  Experiment commands merge every cell's metrics into it
+(with the ``sweep.cells`` / ``sweep.errors`` counters), ``topk``/``sim``
 run on it, and ``accuracy``/``bound``/``datasets`` record their wall
 time as ``cli.<command>`` operations.
 
-``--trace PATH`` (figures, ``all``, ``spec``, ``topk``, ``sim``) records
-a hierarchical span trace of the run and writes Chrome ``trace_event``
+``--trace PATH`` (figures, ``all``, ``topk``, ``sim``) records a
+hierarchical span trace of the run and writes Chrome ``trace_event``
 JSON — open it in Perfetto or ``chrome://tracing`` to see iterate →
 shard → top-k nesting; ``--trace-summary`` prints the per-span-name
 total/self-time hot-path table instead of (or as well as) the file.
 ``--trace`` and ``--metrics`` compose in one run.
 
-``--telemetry-dir DIR`` (same subcommands as ``--trace``) opens a
-:class:`repro.runtime.TelemetrySession`: a background flusher exports
-the run's metrics to ``DIR/metrics.prom`` (Prometheus text format) and
-``DIR/metrics.jsonl`` (append-only time-series) every
-``--flush-interval`` seconds with resource gauges (RSS, CPU, GC,
-threads) sampled on the same cadence, retrieval calls slower than
-``--slow-query-ms`` land in ``DIR/slow_queries.jsonl``, and any
-``--slo`` objectives (repeatable, e.g.
-``--slo 'p99(index.query_seconds) < 50ms'``) are evaluated at the end
-into ``DIR/slo_report.json``.  A violated objective sets exit code 3.
-``--slo`` also works without ``--telemetry-dir`` (report printed only).
+``--slo`` (same subcommands as ``--trace``; repeatable, e.g.
+``--slo 'p99(index.query_seconds) < 50ms'``) evaluates objectives
+against the run's final metrics and prints a verdict table.  A violated
+objective sets exit code 3, and an objective on a metric the run never
+recorded draws a warning.
 
-All observability outputs — ``--metrics``, ``--trace``, telemetry — are
-flushed on failure paths too: a run that raises or is cancelled
-mid-sweep still writes its partial snapshots, so post-mortems have data.
+The outputs are written on failure paths too: a run that raises or is
+cancelled mid-sweep still writes its partial record and trace, so
+post-mortems have data.
 """
 
 from __future__ import annotations
@@ -83,16 +85,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def _add_common(sub: argparse.ArgumentParser) -> None:
+    def _add_scale(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--scale",
             default="tiny",
             choices=("tiny", "small", "medium"),
             help="dataset scale profile (default: tiny)",
         )
+        _add_seed(sub)
+
+    def _add_seed(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--seed", type=int, default=7, help="random seed (default: 7)"
         )
+
+    def _add_iterations(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--iterations",
             "-k",
@@ -101,6 +108,10 @@ def _build_parser() -> argparse.ArgumentParser:
             help="iterations K (default: a per-scale value keeping 2^K "
             "below the scaled |V_B|, as in the paper's regime)",
         )
+
+    def _add_sweep(sub: argparse.ArgumentParser) -> None:
+        _add_scale(sub)
+        _add_iterations(sub)
         sub.add_argument(
             "--algorithms",
             default=None,
@@ -120,42 +131,18 @@ def _build_parser() -> argparse.ArgumentParser:
             help="per-cell memory budget in MiB (default: 256)",
         )
 
-    def _add_resilience(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--retries",
-            type=int,
-            default=0,
-            metavar="N",
-            help="retry transient failures up to N extra times with "
-            "backoff; cells that keep failing are quarantined as "
-            "structured ERROR records (default: 0 — fail fast)",
-        )
-        sub.add_argument(
-            "--checkpoint-dir",
-            default=None,
-            metavar="DIR",
-            help="persist progress under DIR (a run journal for sweeps, "
-            "iteration snapshots for factor builds) so an interrupted "
-            "run can be resumed with --resume",
-        )
-        sub.add_argument(
-            "--resume",
-            action="store_true",
-            help="resume from the state in --checkpoint-dir: completed "
-            "sweep cells are replayed, interrupted factor builds restart "
-            "from their last valid snapshot",
-        )
-
     def _add_metrics(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--metrics",
             default=None,
             metavar="PATH",
-            help="write the run's counter/gauge/histogram tree as JSON to "
-            "this path",
+            help="write the run record as JSON to this path: the "
+            "counter/gauge/histogram snapshot, the peak RSS, the slow "
+            "queries and any --slo verdicts",
         )
 
-    def _add_trace(sub: argparse.ArgumentParser) -> None:
+    def _add_observed(sub: argparse.ArgumentParser) -> None:
+        _add_metrics(sub)
         sub.add_argument(
             "--trace",
             default=None,
@@ -169,32 +156,13 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="print a per-span-name total/self-time table after the run",
         )
-
-    def _add_telemetry(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--telemetry-dir",
-            default=None,
-            metavar="DIR",
-            help="export operational telemetry under DIR during the run: "
-            "metrics.prom (Prometheus text format) + metrics.jsonl "
-            "(append-only time-series) flushed periodically with process "
-            "resource gauges, and slow_queries.jsonl for retrieval calls "
-            "over the --slow-query-ms threshold",
-        )
-        sub.add_argument(
-            "--flush-interval",
-            type=float,
-            default=5.0,
-            metavar="SEC",
-            help="telemetry flush cadence in seconds (default: 5)",
-        )
         sub.add_argument(
             "--slow-query-ms",
             type=float,
             default=100.0,
             metavar="MS",
-            help="latency threshold for the slow-query log in "
-            "milliseconds (default: 100)",
+            help="latency threshold in milliseconds for the slow queries "
+            "in the --metrics record (default: 100)",
         )
         sub.add_argument(
             "--slo",
@@ -233,19 +201,14 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             metavar="N",
-            help="worker threads for sharded kernels and independent "
-            "sweep cells (default: 1 — fully serial; results are "
-            "identical for every N)",
+            help="worker threads for the sharded kernels (default: 1 — "
+            "fully serial; results are identical for every N)",
         )
 
     for name, (_, _, _, description) in _FIGURES.items():
         sub = subparsers.add_parser(name, help=f"Figure {name[3:]}: {description}")
-        _add_common(sub)
-        _add_metrics(sub)
-        _add_trace(sub)
-        _add_telemetry(sub)
-        _add_resilience(sub)
-        _add_workers(sub)
+        _add_sweep(sub)
+        _add_observed(sub)
         _add_precision(sub)
         if name in ("fig3", "fig4", "fig5", "fig7", "fig8"):
             sub.add_argument("--dataset", default="EE", help="dataset key")
@@ -253,35 +216,30 @@ def _build_parser() -> argparse.ArgumentParser:
     accuracy = subparsers.add_parser(
         "accuracy", help="§5.2.3 accuracy table (GSim+/GSim vs GSVD ranks)"
     )
-    _add_common(accuracy)
+    _add_scale(accuracy)
     _add_metrics(accuracy)
     accuracy.add_argument("--dataset", default="HP", help="dataset key")
 
     bound = subparsers.add_parser(
         "bound", help="Theorem 4.2 validation: measured error vs spectral bound"
     )
-    _add_common(bound)
+    _add_seed(bound)
     _add_metrics(bound)
     bound.add_argument("--dataset", default="HP", help="dataset key")
 
     everything = subparsers.add_parser(
         "all", help="regenerate every figure and the accuracy table"
     )
-    _add_common(everything)
-    _add_metrics(everything)
-    _add_trace(everything)
-    _add_telemetry(everything)
-    _add_resilience(everything)
-    _add_workers(everything)
+    _add_sweep(everything)
+    _add_observed(everything)
     _add_precision(everything)
 
     topk = subparsers.add_parser(
         "topk", help="retrieve the k most similar cross-graph pairs"
     )
-    _add_common(topk)
-    _add_metrics(topk)
-    _add_trace(topk)
-    _add_telemetry(topk)
+    _add_scale(topk)
+    _add_iterations(topk)
+    _add_observed(topk)
     _add_workers(topk)
     _add_precision(topk)
     topk.add_argument("--dataset", default="HP", help="dataset key")
@@ -294,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scale", default="tiny", choices=("tiny", "small", "medium"),
         help="profile whose realised statistics to measure",
     )
-    datasets.add_argument("--seed", type=int, default=7)
+    _add_seed(datasets)
     _add_metrics(datasets)
     datasets_sub = datasets.add_subparsers(
         dest="datasets_command", required=False,
@@ -364,55 +322,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--output", default=None, help="write the block as CSV to this path"
     )
-    _add_metrics(sim)
-    _add_trace(sim)
-    _add_telemetry(sim)
-    _add_resilience(sim)
+    sim.add_argument(
+        "--checkpoint-dir",
+        default=None,
+        metavar="DIR",
+        help="snapshot the factor build's iterations under DIR so an "
+        "interrupted run can be resumed with --resume",
+    )
+    sim.add_argument(
+        "--resume",
+        action="store_true",
+        help="restart an interrupted factor build from the last valid "
+        "snapshot in --checkpoint-dir",
+    )
+    _add_observed(sim)
     _add_workers(sim)
     _add_precision(sim)
-
-    spec = subparsers.add_parser(
-        "spec", help="run a declarative experiment from a JSON spec file"
-    )
-    _add_metrics(spec)
-    _add_trace(spec)
-    _add_telemetry(spec)
-    spec.add_argument("spec_path", help="path to the JSON experiment spec")
-    spec.add_argument(
-        "--metric", default="time", choices=("time", "memory"),
-        help="metric to tabulate (default: time)",
-    )
-    spec.add_argument(
-        "--export-csv", default=None, help="also write the records to this CSV"
-    )
-    _add_resilience(spec)
-    _add_workers(spec)
-    _add_precision(spec)
     return parser
-
-
-def _resilience(args: argparse.Namespace, journal_name: str):
-    """``(journal, retry_policy)`` from the --retries/--checkpoint-dir/
-    --resume flags; each is ``None`` when the feature is off."""
-    from repro.runtime.resilience import RetryPolicy
-
-    if args.resume and not args.checkpoint_dir:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        raise SystemExit(2)
-    journal = None
-    if args.checkpoint_dir:
-        from pathlib import Path
-
-        from repro.experiments.journal import RunJournal
-
-        journal = RunJournal(
-            Path(args.checkpoint_dir) / f"{journal_name}-journal.jsonl",
-            resume=args.resume,
-        )
-    retry_policy = (
-        RetryPolicy(max_attempts=args.retries + 1) if args.retries > 0 else None
-    )
-    return journal, retry_policy
 
 
 class _Observed:
@@ -420,13 +346,11 @@ class _Observed:
     outputs it feeds.
 
     The context carries a :class:`repro.runtime.Tracer` with --trace or
-    --trace-summary, and, with --telemetry-dir, the metrics sink and
-    slow-query log of a :class:`repro.runtime.TelemetrySession` (a plain
-    :class:`repro.runtime.Metrics` otherwise).  Wrap the command in ``with
-    _Observed(args) as observed:``, which starts the telemetry flusher,
-    and hand ``observed.context`` to the library.  The exit writes
-    --metrics from the context's snapshot, the trace outputs, the final
-    telemetry flush and the --slo verdicts.  On success :attr:`code` is
+    --trace-summary, and a :class:`repro.runtime.SlowQueryLog` at
+    --slow-query-ms with --metrics.  Wrap the command in ``with
+    _Observed(args) as observed:`` and hand ``observed.context`` to the
+    library.  The exit prints the --slo verdicts, then writes the
+    --metrics record and the trace outputs.  On success :attr:`code` is
     then the exit-code contribution (1 when an output could not be
     written, 3 on a violated SLO).  On failure the same outputs are a
     best-effort partial flush for the post-mortem, and the exception
@@ -434,16 +358,11 @@ class _Observed:
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
-        from repro.runtime import (
-            ExecutionContext,
-            Metrics,
-            SLObjective,
-            TelemetrySession,
-            Tracer,
-        )
+        from repro.runtime import ExecutionContext, SLObjective, SlowQueryLog, Tracer
 
         self.args = args
         self.code = 0
+        self.reports = None
         try:
             self.objectives = [
                 SLObjective.parse(raw)
@@ -452,53 +371,37 @@ class _Observed:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             raise SystemExit(2) from None
-        metrics = Metrics()
-        self.telemetry = None
-        if getattr(args, "telemetry_dir", None):
-            self.telemetry = TelemetrySession(
-                args.telemetry_dir,
-                metrics,
-                interval_seconds=args.flush_interval,
-                slow_query_threshold=args.slow_query_ms / 1000.0,
-                objectives=self.objectives,
-            )
         traced = getattr(args, "trace", None) or getattr(args, "trace_summary", False)
+        slow_queries = None
+        if args.metrics:
+            slow_queries = SlowQueryLog(
+                threshold_seconds=getattr(args, "slow_query_ms", 100.0) / 1000.0
+            )
         self.context = ExecutionContext(
-            metrics=metrics,
-            tracer=Tracer() if traced else None,
-            slow_queries=(
-                self.telemetry.slow_queries if self.telemetry is not None else None
-            ),
+            tracer=Tracer() if traced else None, slow_queries=slow_queries
         )
 
     def __enter__(self) -> "_Observed":
-        if self.telemetry is not None:
-            self.telemetry.start()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
-            self.code = max(self._close_telemetry(), self._write_outputs())
+            self.code = max(self._judge_slos(), self._write_outputs())
             return
-        for flush in (self._write_outputs, self._close_telemetry):
+        for flush in (self._judge_slos, self._write_outputs):
             try:
                 flush()
             except Exception:
                 pass
 
-    def _close_telemetry(self) -> int:
-        """Final telemetry flush and the --slo verdicts (3 when violated)."""
+    def _judge_slos(self) -> int:
+        """Print the --slo verdicts; 3 when one is violated."""
         from repro.runtime import SLOTracker, render_slo_report
 
-        reports = None
-        if self.telemetry is not None:
-            reports = self.telemetry.close()
-            print(f"telemetry written to {self.telemetry.directory}")
         if not self.objectives:
             return 0
         snapshot = self.context.snapshot()
-        if reports is None:
-            reports = SLOTracker(self.objectives).evaluate(snapshot)
+        self.reports = SLOTracker(self.objectives).evaluate(snapshot)
         for objective in self.objectives:
             if not objective.recorded(snapshot):
                 print(
@@ -506,19 +409,35 @@ class _Observed:
                     "metric this run never recorded",
                     file=sys.stderr,
                 )
-        print(render_slo_report(reports))
-        if any(not report.ok for report in reports):
+        print(render_slo_report(self.reports))
+        if any(not report.ok for report in self.reports):
             print("error: SLO violated", file=sys.stderr)
             return 3
         return 0
+
+    def _record(self) -> dict:
+        """The --metrics record: the context's snapshot, the process's
+        peak RSS, the slow queries and the --slo verdicts."""
+        import resource
+
+        record = self.context.snapshot()
+        # ru_maxrss counts KiB on Linux and bytes on macOS.
+        unit = 1 if sys.platform == "darwin" else 1024
+        record["peak_rss_bytes"] = (
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
+        )
+        record["slow_queries"] = self.context.slow_queries.snapshot()
+        if self.reports is not None:
+            record["slo"] = [report.to_dict() for report in self.reports]
+        return record
 
     def _write_outputs(self) -> int:
         """--metrics, --trace and --trace-summary, which compose in one
         run; 1 when a requested file could not be written."""
         args, tracer = self.args, self.context.tracer
         code = 0
-        if getattr(args, "metrics", None):
-            code = _write_metrics(args.metrics, self.context.snapshot())
+        if args.metrics:
+            code = _write_metrics(args.metrics, self._record())
         if getattr(args, "trace", None):
             try:
                 tracer.write_chrome_trace(args.trace)
@@ -540,19 +459,14 @@ class _Observed:
         return code
 
 
-def _run_figure(
-    name: str, args: argparse.Namespace, context, journal, retry_policy
-) -> str:
+def _run_figure(name: str, args: argparse.Namespace, context) -> str:
     """Run one figure's sweep under ``context``; returns its table."""
     driver, column, metric, description = _FIGURES[name]
     guards = dict(
         memory_budget=MemoryBudget(int(args.memory_budget_mib * 1024 * 1024)),
         deadline=Deadline(limit_seconds=args.deadline),
-        journal=journal,
-        retry_policy=retry_policy,
-        max_workers=getattr(args, "workers", 1),
-        precision=getattr(args, "precision", "float64"),
-        recompress_tol=getattr(args, "recompress_tol", None),
+        precision=args.precision,
+        recompress_tol=args.recompress_tol,
         context=context,
     )
     if args.iterations is None:
@@ -568,17 +482,9 @@ def _run_figure(
         kwargs["algorithms"] = tuple(
             token.strip() for token in args.algorithms.split(",") if token.strip()
         )
-    hits_before = journal.hits if journal is not None else 0
     records = driver(config, **kwargs)
     title = f"Figure {name[3:]} — {description} (scale={args.scale})"
-    rendered = render_records(records, column_key=column, metric=metric, title=title)
-    if journal is not None:
-        replayed = journal.hits - hits_before
-        rendered += (
-            f"\n[{replayed}/{len(records)} cells replayed from "
-            f"{journal.path}]"
-        )
-    return rendered
+    return render_records(records, column_key=column, metric=metric, title=title)
 
 
 def _write_metrics(path: str, tree: dict) -> int:
@@ -597,11 +503,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
     if args.command in _FIGURES:
-        journal, retry_policy = _resilience(args, args.command)
         with _Observed(args) as observed:
-            print(_run_figure(
-                args.command, args, observed.context, journal, retry_policy
-            ))
+            print(_run_figure(args.command, args, observed.context))
         return observed.code
     if args.command == "accuracy":
         with _Observed(args) as observed:
@@ -624,12 +527,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(render_error_bound_table(table))
         return observed.code
     if args.command == "all":
-        journal, retry_policy = _resilience(args, "all")
         with _Observed(args) as observed:
             for name in _FIGURES:
-                print(_run_figure(
-                    name, args, observed.context, journal, retry_policy
-                ))
+                print(_run_figure(name, args, observed.context))
                 print()
             table = accuracy_table(scale=args.scale, seed=args.seed)
             print(render_accuracy_table(table))
@@ -663,7 +563,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.core import top_k_pairs
         from repro.core.gsim_plus import gsim_plus
         from repro.graphs import read_edge_list
-        from repro.runtime.resilience import CheckpointManager, RetryPolicy
+        from repro.runtime.resilience import CheckpointManager
 
         checkpoints = None
         if args.checkpoint_dir:
@@ -675,11 +575,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif args.resume:
             print("error: --resume requires --checkpoint-dir", file=sys.stderr)
             return 2
-        retry_policy = (
-            RetryPolicy(max_attempts=args.retries + 1)
-            if args.retries > 0
-            else None
-        )
 
         if args.mmap_dir is not None and args.relabel:
             print(
@@ -705,62 +600,36 @@ def main(argv: Sequence[str] | None = None) -> int:
         graph_b = _load_graph(args.graph_b)
         print(f"G_A = {graph_a}")
         print(f"G_B = {graph_b}")
-        observed = _Observed(args)
-        context = observed.context
-
-        def _top_pairs():
-            return top_k_pairs(
-                graph_a, graph_b, args.top, iterations=args.iterations,
-                context=context, max_workers=args.workers,
-                precision=args.precision,
-                recompress_tol=args.recompress_tol,
-            )
-
         def _parse_queries(raw: str | None) -> list[int] | None:
             if raw is None:
                 return None
             return [int(token) for token in raw.split(",") if token.strip()]
 
-        def _compute(resume_from):
-            return gsim_plus(
-                graph_a,
-                graph_b,
-                iterations=args.iterations,
-                queries_a=_parse_queries(args.queries_a),
-                queries_b=_parse_queries(args.queries_b),
-                normalization="global",
-                context=context,
-                checkpoints=checkpoints,
-                resume_from=resume_from,
-                max_workers=args.workers,
-                precision=args.precision,
-                recompress_tol=args.recompress_tol,
-            )
-
-        with observed:
+        with _Observed(args) as observed:
             if args.top is not None:
-                if retry_policy is not None:
-                    pairs = retry_policy.call(_top_pairs, what="sim topk")
-                else:
-                    pairs = _top_pairs()
+                pairs = top_k_pairs(
+                    graph_a, graph_b, args.top, iterations=args.iterations,
+                    context=observed.context, max_workers=args.workers,
+                    precision=args.precision,
+                    recompress_tol=args.recompress_tol,
+                )
                 for pair in pairs:
                     print(f"  {pair.node_a}\t{pair.node_b}\t{pair.score:.6f}")
             else:
-                resume_from = {"manager": checkpoints if args.resume else None}
-                if retry_policy is not None:
-                    def _on_retry(attempt: int, exc: BaseException) -> None:
-                        # A failed attempt may still have snapshotted
-                        # progress; pick up from the last valid checkpoint
-                        # rather than iteration zero.
-                        resume_from["manager"] = checkpoints
-
-                    result = retry_policy.call(
-                        lambda: _compute(resume_from["manager"]),
-                        what="sim",
-                        on_retry=_on_retry,
-                    )
-                else:
-                    result = _compute(resume_from["manager"])
+                result = gsim_plus(
+                    graph_a,
+                    graph_b,
+                    iterations=args.iterations,
+                    queries_a=_parse_queries(args.queries_a),
+                    queries_b=_parse_queries(args.queries_b),
+                    normalization="global",
+                    context=observed.context,
+                    checkpoints=checkpoints,
+                    resume_from=checkpoints if args.resume else None,
+                    max_workers=args.workers,
+                    precision=args.precision,
+                    recompress_tol=args.recompress_tol,
+                )
                 if args.output:
                     np.savetxt(
                         args.output, result.similarity, delimiter=",", fmt="%.8g"
@@ -771,47 +640,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 else:
                     with np.printoptions(precision=4, suppress=True, threshold=400):
                         print(result.similarity)
-        return observed.code
-    if args.command == "spec":
-        from repro.experiments.export import write_csv
-        from repro.experiments.spec import ExperimentSpec, run_spec
-
-        journal, retry_policy = _resilience(args, "spec")
-        spec = ExperimentSpec.from_json(args.spec_path)
-        if args.precision != "float64" or args.recompress_tol is not None:
-            # CLI flags override the spec file's precision policy.
-            import dataclasses
-
-            overrides = {}
-            if args.precision != "float64":
-                overrides["precision"] = args.precision
-            if args.recompress_tol is not None:
-                overrides["recompress_tol"] = args.recompress_tol
-            spec = dataclasses.replace(spec, **overrides)
-        with _Observed(args) as observed:
-            records = run_spec(
-                spec, journal=journal, retry_policy=retry_policy,
-                max_workers=args.workers, context=observed.context,
-            )
-            if journal is not None:
-                print(
-                    f"[{journal.hits}/{len(records)} cells replayed from "
-                    f"{journal.path}]"
-                )
-            column = "dataset" if spec.sweep_axis is None else {
-                "iterations": "k",
-                "query_size": "q_a",
-                "sample_size": "n_b",
-            }[spec.sweep_axis]
-            print(
-                render_records(
-                    records, column_key=column, metric=args.metric,
-                    title=spec.name,
-                )
-            )
-            if args.export_csv:
-                write_csv(records, args.export_csv)
-                print(f"records written to {args.export_csv}")
         return observed.code
     if args.command == "datasets":
         if getattr(args, "datasets_command", None) == "convert":

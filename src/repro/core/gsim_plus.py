@@ -268,10 +268,8 @@ class GSimPlus:
             raise ValueError("both graphs must have at least one node")
         # The four CSR operands of every step are converted exactly once
         # here (``Graph`` caches the transpose, so repeated solvers over
-        # the same graph share it); ``gsim_plus.transpose_cache_hits``
-        # counts each step's reuse of the pre-converted A^T/B^T.  Under
-        # the float32 policy the operands are cast once so every SpMM
-        # moves half the bytes.
+        # the same graph share it).  Under the float32 policy the
+        # operands are cast once so every SpMM moves half the bytes.
         self.precision = precision
         self._dtype = np.dtype(precision)
         operands = {
@@ -459,7 +457,6 @@ class GSimPlus:
                 )
 
             self._run(_product, tasks, context, "GSim+ SpMM chunks")
-            context.metrics.increment("gsim_plus.transpose_cache_hits", 2)
             # Rescale to magnitudes <= 1, folding the divisors into
             # log_scale, so the float range stays bounded over hundreds of
             # iterations; a zero factor leaves both as they are.
@@ -543,7 +540,6 @@ class GSimPlus:
         iterate across the dense regime.
         """
         updated = self._dense_update(z, context)
-        context.metrics.increment("gsim_plus.transpose_cache_hits", 2)
         if self.numeric_guard:
             updated = self._healed(updated, context)
         with np.errstate(over="ignore"):

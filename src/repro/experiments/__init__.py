@@ -9,8 +9,6 @@
 * :mod:`repro.experiments.tables` — the §5.2.3 accuracy table.
 * :mod:`repro.experiments.ablations` — design-choice ablations from
   DESIGN.md §5.
-* :mod:`repro.experiments.journal` — the persistent run journal making
-  long sweeps resumable cell by cell.
 * :mod:`repro.experiments.report` — plain-text rendering of result tables.
 """
 
@@ -20,7 +18,6 @@ from repro.experiments.guards import (
     MemoryBudget,
     MemoryBudgetExceeded,
 )
-from repro.experiments.journal import RunJournal
 from repro.experiments.report import render_records, render_table
 from repro.experiments.runner import (
     ALGORITHMS,
@@ -41,7 +38,6 @@ __all__ = [
     "MemoryBudget",
     "MemoryBudgetExceeded",
     "Outcome",
-    "RunJournal",
     "RunRecord",
     "cell_key",
     "render_records",

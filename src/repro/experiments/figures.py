@@ -12,9 +12,8 @@ clamped to the graph sizes.  Datasets come from the simulated registry
 (:mod:`repro.graphs.datasets`).
 
 Every driver builds its cell list up front and hands it to
-:func:`repro.experiments.runner.run_cells`, so setting
-``ExperimentConfig.max_workers > 1`` sweeps independent cells
-concurrently without changing any record's outcome.
+:func:`repro.experiments.runner.run_cells`, which runs the cells one
+after another, each under its own tracemalloc tracker.
 """
 
 from __future__ import annotations

@@ -20,9 +20,8 @@ on the resulting :class:`RunRecord`.
 from __future__ import annotations
 
 import enum
-import time
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -41,13 +40,8 @@ from repro.experiments.guards import (
 )
 from repro.graphs.graph import Graph
 from repro.runtime import BudgetExceeded, ExecutionContext
-from repro.runtime.parallel import WorkerPool
-from repro.runtime.resilience import RetryPolicy
 from repro.utils.memory import MemoryTracker
 from repro.utils.timing import Stopwatch
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.experiments.journal import RunJournal
 
 __all__ = [
     "ALGORITHMS",
@@ -122,60 +116,29 @@ class RunRecord:
     params: dict[str, object] = field(default_factory=dict)
     note: str = ""
     metrics: dict | None = None
-    attempts: int = 1
 
     @property
     def ok(self) -> bool:
         """True when the cell executed and was measured."""
         return self.outcome is Outcome.OK
 
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form (used by the run journal)."""
-        data = asdict(self)
-        data["outcome"] = self.outcome.value
-        return data
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunRecord":
-        """Inverse of :meth:`to_dict`."""
-        data = dict(raw)
-        data["outcome"] = Outcome(data["outcome"])
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared knobs for a figure/table driver.
 
-    ``retry_policy`` and ``journal`` opt a sweep into the resilience
-    layer: transient per-cell failures are retried (and quarantined as
-    structured ERROR records when they keep failing), and completed cells
-    are journalled after every cell so an interrupted sweep can be
-    re-run executing only the missing cells.
-
-    ``max_workers`` parallelises the *cells* of a sweep (each cell keeps
-    its own :class:`repro.runtime.ExecutionContext`); cells are
-    independent, so records come back identical to a serial sweep except
-    for timings — and per-cell memory, which is reported from the
-    context's memory ledger instead of tracemalloc when cells run
-    concurrently (tracemalloc is process-global and cannot attribute
-    allocations to a cell).
-
     ``context`` is the sweep's :class:`repro.runtime.ExecutionContext`
     (``None`` means :data:`repro.runtime.NULL_CONTEXT`).  Its tracer
-    records one ``sweep.run`` root span and one ``sweep.cell`` span per
-    cell (attributes: cell key, algorithm, dataset, outcome, attempts,
-    journal replay), stitched under the root even when cells run on
-    worker threads.  Each cell runs under a context of its own (armed
-    deadline, fresh ledger, fresh metrics for :attr:`RunRecord.metrics`)
-    that borrows the sweep context's tracer and slow-query log, so
-    solver and shard spans nest inside their cell and retrieval calls
-    land in one slow-query ring.  Every finished cell's metric snapshot
-    is merged into the sweep context's metrics as the cell completes,
-    with the ``sweep.cells`` and ``sweep.quarantined`` counters, so a
-    :class:`repro.runtime.telemetry.PeriodicFlusher` watching them
-    exports sweep progress at cell granularity.  The context only
-    observes: results are bit-identical with or without it.
+    records one ``sweep.run`` root span and, below it, one ``sweep.cell``
+    span per cell (attributes: cell key, algorithm, dataset, outcome).
+    Each cell runs under a context of its own (armed deadline, fresh
+    ledger, fresh metrics for :attr:`RunRecord.metrics`) that borrows the
+    sweep context's tracer and slow-query log, so solver spans nest
+    inside their cell and retrieval calls land in one slow-query ring.
+    Every finished cell's metric snapshot is merged into the sweep
+    context's metrics, with the ``sweep.cells`` and ``sweep.errors``
+    counters.  The context only observes: results are bit-identical with
+    or without it.
     """
 
     scale: str = "small"
@@ -183,32 +146,21 @@ class ExperimentConfig:
     seed: int = 7
     memory_budget: MemoryBudget = field(default_factory=MemoryBudget)
     deadline: Deadline = field(default_factory=Deadline)
-    retry_policy: RetryPolicy | None = None
-    journal: "RunJournal | None" = None
-    max_workers: int = 1
     precision: str = "float64"
     recompress_tol: float | None = None
-    solver_workers: int | None = None
     context: ExecutionContext | None = None
 
     def solver_options(self) -> dict[str, object]:
         """Non-default GSim+ solver knobs, for :func:`run_algorithm`.
 
-        Defaults map to an empty dict so journal cell keys (and
-        measured behaviour) are unchanged for existing sweeps.
-
-        ``solver_workers`` parallelises the SpMM *inside* each GSim+ cell
-        (``max_workers`` parallelises across cells).  Results are
-        bit-identical either way, so journal keys are again only extended
-        for non-default values.
+        Defaults map to an empty dict, so cell keys of default sweeps
+        carry no solver options.
         """
         options: dict[str, object] = {}
         if self.precision != "float64":
             options["precision"] = self.precision
         if self.recompress_tol is not None:
             options["recompress_tol"] = self.recompress_tol
-        if self.solver_workers is not None:
-            options["max_workers"] = self.solver_workers
         return options
 
     # k per profile such that 2^k stays well below the scaled |V_B|
@@ -410,7 +362,8 @@ def instance_params(
 
 
 def cell_key(algorithm: str, dataset: str, params: dict[str, object]) -> str:
-    """The canonical identity of one sweep cell (for the run journal).
+    """The canonical identity of one sweep cell: the ``cell`` attribute
+    of its ``sweep.cell`` span.
 
     Folds in every instance parameter the runner records (graph sizes,
     query sizes, iteration count), so sweeping any axis — k, |V_B|, |Q|
@@ -431,50 +384,29 @@ def run_algorithm(
     memory_budget: MemoryBudget | None = None,
     deadline: Deadline | None = None,
     dataset: str = "",
-    retry_policy: RetryPolicy | None = None,
-    journal: "RunJournal | None" = None,
-    track_memory: bool = True,
     context: ExecutionContext | None = None,
-    trace_parent=None,
     solver_options: dict[str, object] | None = None,
 ) -> RunRecord:
     """Gate, execute, and measure one experiment cell.
 
     ``solver_options`` carries non-default solver knobs (currently
-    GSim+'s ``precision`` / ``recompress_tol``); they fold into the
-    journal cell key so a float32 or recompressed sweep never replays a
-    float64 cell, while default runs keep their historical keys.
+    GSim+'s ``precision`` / ``recompress_tol``); they are recorded in the
+    cell's params and key.
 
     Never raises for resource vetoes — those come back as OOM/TIMEOUT
     records, exactly like the crossed-out cells in the paper's figures.
     Attempted cells run under an :class:`repro.runtime.ExecutionContext`
-    carrying the armed deadline and a live memory ledger; the context's
+    carrying the armed deadline and a live memory ledger, and under a
+    tracemalloc tracker whose peak is the cell's memory; the context's
     metric snapshot (including partial metrics from interrupted runs) is
-    stored on the record.
-
-    With a ``retry_policy``, transient failures (I/O hiccups, injected
-    faults) are retried with backoff; a cell that keeps failing is
-    *quarantined* as a structured ERROR record rather than aborting the
-    sweep.  With a ``journal``, an already-journalled cell is replayed
-    without executing and every finished cell is persisted immediately,
-    making multi-hour sweeps resumable cell by cell.
-
-    ``track_memory=False`` skips the tracemalloc tracker (which is
-    process-global, so concurrent cells would see each other's
-    allocations) and reports the cell's memory from its context's
-    memory-ledger peak instead; :func:`run_cells` sets this
-    automatically when the sweep runs on a worker pool.
+    stored on the record.  Any other exception propagates.
 
     ``context`` is the sweep's context (see :class:`ExperimentConfig`).
-    The whole cell — journal replays, every retry attempt, and
-    quarantine — runs inside one ``sweep.cell`` span on its tracer
-    (attributes: cell key, algorithm, dataset, outcome, attempts,
-    ``replayed``); ``trace_parent`` stitches it under the submitting
-    sweep's root span when cells execute on worker threads.  The
-    finished cell's metric snapshot (replayed cells included) is merged
-    into ``context.metrics`` and counted in ``sweep.cells``; a
-    quarantined cell is also counted in ``sweep.quarantined`` and logs a
-    ``sweep.quarantined`` event.
+    The cell runs inside one ``sweep.cell`` span on its tracer
+    (attributes: cell key, algorithm, dataset, outcome).  The finished
+    cell's metric snapshot is merged into ``context.metrics`` and counted
+    in ``sweep.cells``; a cell with an ``ERROR`` outcome is also counted
+    in ``sweep.errors``.
     """
     memory_budget = memory_budget or MemoryBudget()
     deadline = deadline or Deadline()
@@ -492,69 +424,22 @@ def run_algorithm(
     }
     if solver_options:
         record_params.update(solver_options)
-    key = cell_key(spec.name, dataset, record_params)
-    with context.tracer.span("sweep.cell", parent=trace_parent) as cell_span:
-        cell_span.set_attribute("cell", key)
+    with context.tracer.span("sweep.cell") as cell_span:
+        cell_span.set_attribute("cell", cell_key(spec.name, dataset, record_params))
         cell_span.set_attribute("algorithm", spec.name)
         cell_span.set_attribute("dataset", dataset)
-        if journal is not None:
-            replayed = journal.get(key)
-            if replayed is not None:
-                cell_span.set_attribute("replayed", True)
-                cell_span.set_attribute("outcome", replayed.outcome.value)
-                _count_cell(context, replayed)
-                return replayed
-
-        max_attempts = retry_policy.max_attempts if retry_policy is not None else 1
-        record: RunRecord | None = None
-        for attempt in range(1, max_attempts + 1):
-            try:
-                record = _execute_cell(
-                    spec, graph_a, graph_b, queries_a, queries_b, iterations,
-                    memory_budget, deadline, dataset, params, record_params,
-                    context, track_memory=track_memory,
-                    solver_options=solver_options,
-                )
-            except Exception as exc:
-                if retry_policy is None or not retry_policy.is_transient(exc):
-                    raise
-                if attempt >= max_attempts:
-                    record = RunRecord(
-                        algorithm=spec.name,
-                        dataset=dataset,
-                        outcome=Outcome.ERROR,
-                        params=dict(record_params),
-                        note=f"quarantined after {attempt} attempts: {exc}",
-                        attempts=attempt,
-                    )
-                    context.metrics.increment("sweep.quarantined")
-                    context.tracer.event(
-                        "sweep.quarantined",
-                        severity="error",
-                        span=cell_span,
-                        cell=key,
-                        attempts=attempt,
-                        error=str(exc),
-                    )
-                    break
-                time.sleep(retry_policy.delay(attempt))
-                continue
-            record.attempts = attempt
-            break
-        assert record is not None
+        record = _execute_cell(
+            spec, graph_a, graph_b, queries_a, queries_b, iterations,
+            memory_budget, deadline, dataset, params, record_params,
+            context, solver_options=solver_options,
+        )
         cell_span.set_attribute("outcome", record.outcome.value)
-        cell_span.set_attribute("attempts", record.attempts)
-        if journal is not None:
-            journal.record(key, record)
-        _count_cell(context, record)
+        if record.metrics:
+            context.metrics.merge_snapshot(record.metrics)
+        context.metrics.increment("sweep.cells")
+        if record.outcome is Outcome.ERROR:
+            context.metrics.increment("sweep.errors")
         return record
-
-
-def _count_cell(context: ExecutionContext, record: RunRecord) -> None:
-    """Fold a finished cell into the sweep context's metrics."""
-    if record.metrics:
-        context.metrics.merge_snapshot(record.metrics)
-    context.metrics.increment("sweep.cells")
 
 
 def _execute_cell(
@@ -570,10 +455,9 @@ def _execute_cell(
     params: InstanceParams,
     record_params: dict[str, object],
     sweep: ExecutionContext,
-    track_memory: bool = True,
     solver_options: dict[str, object] | None = None,
 ) -> RunRecord:
-    """One gated, measured attempt (structured vetoes become records)."""
+    """One gated, measured cell (structured vetoes become records)."""
     solver_options = solver_options or {}
     time_units, space_bytes = predict_cost(spec.cost_model, params)
     predicted_seconds = time_units / spec.units_per_second
@@ -603,16 +487,8 @@ def _execute_cell(
         deadline=deadline.arm(), memory=memory_budget.ledger(),
         tracer=sweep.tracer, slow_queries=sweep.slow_queries,
     )
-    tracker: MemoryTracker | None = None
     try:
-        if track_memory:
-            with MemoryTracker() as tracker:
-                with stopwatch:
-                    spec.run(
-                        graph_a, graph_b, queries_a, queries_b, iterations,
-                        context, **solver_options,
-                    )
-        else:
+        with MemoryTracker() as tracker:
             with stopwatch:
                 spec.run(
                     graph_a, graph_b, queries_a, queries_b, iterations,
@@ -656,12 +532,7 @@ def _execute_cell(
         record.metrics = context.snapshot()
         return record
     record.seconds = stopwatch.elapsed
-    if tracker is not None:
-        record.memory_bytes = float(tracker.peak_bytes)
-    elif context.memory is not None:
-        # Ledger peak: the charged working set, not allocator truth — but
-        # attributable to this cell even with other cells in flight.
-        record.memory_bytes = float(context.memory.peak_bytes)
+    record.memory_bytes = float(tracker.peak_bytes)
     record.metrics = context.snapshot()
     return record
 
@@ -682,35 +553,21 @@ class CellTask:
 def run_cells(
     tasks: "list[CellTask]", config: ExperimentConfig
 ) -> list[RunRecord]:
-    """Run a sweep's independent cells, serially or on a worker pool.
+    """Run a sweep's cells one after another, in task order.
 
-    Each cell goes through :func:`run_algorithm` unchanged — predictive
-    gating, per-cell retry/quarantine, and journal replay/persist all
-    compose with the pool (the journal is lock-protected).  Records come
-    back in task order for every ``config.max_workers``, and algorithm
-    *results* are identical to a serial sweep because cells share no
-    state.  Measurements are measurements, though: timings shift with
-    CPU contention, memory is ledger- instead of tracemalloc-reported,
-    and — because tracemalloc itself slows allocation-heavy Python loops
-    severalfold — a cell sitting near the wall-clock limit can TIMEOUT
-    in a (tracked) serial sweep yet finish in an (untracked) parallel
-    one.  Predictive vetoes (``>1day`` / predicted-OOM) never vary.
+    Each cell goes through :func:`run_algorithm` under one ``sweep.run``
+    span on ``config.context``'s tracer.  Cells run serially because
+    tracemalloc is process-global: each cell's peak is its own only when
+    no other cell allocates beside it.
     """
-    pool = WorkerPool.resolve(config.max_workers)
-    track_memory = pool.serial or len(tasks) <= 1
     context = ExecutionContext.resolve(config.context)
-
+    # Precision / recompression are GSim+ knobs; baseline cells keep
+    # their default keys (and behaviour) in mixed sweeps.
+    solver_options = config.solver_options()
     with context.tracer.span("sweep.run") as root:
         root.set_attribute("cells", len(tasks))
-        root.set_attribute("max_workers", pool.max_workers)
-
-        # Precision / recompression are GSim+ knobs; baseline cells keep
-        # their historical keys (and behaviour) in mixed sweeps.
-        solver_options = config.solver_options()
-
-        def _run(task: CellTask) -> RunRecord:
-            cell_options = solver_options if task.spec.name == "GSim+" else None
-            return run_algorithm(
+        return [
+            run_algorithm(
                 task.spec,
                 task.graph_a,
                 task.graph_b,
@@ -720,12 +577,8 @@ def run_cells(
                 memory_budget=config.memory_budget,
                 deadline=config.deadline,
                 dataset=task.dataset,
-                retry_policy=config.retry_policy,
-                journal=config.journal,
-                track_memory=track_memory,
                 context=context,
-                trace_parent=root,
-                solver_options=cell_options,
+                solver_options=solver_options if task.spec.name == "GSim+" else None,
             )
-
-        return pool.map(_run, tasks, what="sweep cells")
+            for task in tasks
+        ]

@@ -41,7 +41,6 @@ from repro.runtime.errors import (
     DeadlineExceeded,
     InjectedFault,
     MemoryBudgetExceeded,
-    TransientError,
 )
 from repro.runtime.metrics import (
     HISTOGRAM_BUCKETS,
@@ -61,20 +60,15 @@ from repro.runtime.resilience import (
     Checkpoint,
     CheckpointManager,
     FaultInjector,
-    RetryPolicy,
     atomic_write,
     content_checksum,
 )
 from repro.runtime.telemetry import (
-    MetricsExporter,
-    PeriodicFlusher,
-    ResourceMonitor,
     SLObjective,
     SLOReport,
     SLOTracker,
     SlowQuery,
     SlowQueryLog,
-    TelemetrySession,
     render_slo_report,
 )
 
@@ -95,22 +89,16 @@ __all__ = [
     "MemoryBudgetExceeded",
     "MemoryLedger",
     "Metrics",
-    "MetricsExporter",
     "NULL_CONTEXT",
     "NULL_TRACER",
     "NullTracer",
-    "PeriodicFlusher",
-    "ResourceMonitor",
-    "RetryPolicy",
     "SLObjective",
     "SLOReport",
     "SLOTracker",
     "SlowQuery",
     "SlowQueryLog",
     "Span",
-    "TelemetrySession",
     "Tracer",
-    "TransientError",
     "WallClockDeadline",
     "WorkerPool",
     "atomic_write",

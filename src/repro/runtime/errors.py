@@ -23,7 +23,6 @@ __all__ = [
     "DeadlineExceeded",
     "InjectedFault",
     "MemoryBudgetExceeded",
-    "TransientError",
 ]
 
 
@@ -65,16 +64,7 @@ class Cancelled(BudgetExceeded):
     reason = "cancelled"
 
 
-class TransientError(RuntimeError):
-    """A failure expected to succeed on retry (I/O hiccup, preemption).
-
-    :class:`repro.runtime.resilience.RetryPolicy` classifies subclasses of
-    this (and plain ``OSError``) as retryable; everything else — bad input,
-    exhausted budgets, cancellation — is fatal and surfaces immediately.
-    """
-
-
-class InjectedFault(TransientError):
+class InjectedFault(RuntimeError):
     """A deterministic fault raised by a test-time fault injector.
 
     Attributes

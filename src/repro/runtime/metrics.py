@@ -290,9 +290,7 @@ class Metrics:
 
         Counters add, gauges take the max, histograms add bucket by
         bucket — the right semantics for aggregating per-cell metrics into
-        a session total.  The ``timers`` and ``series`` sections of
-        snapshots written before those kinds were removed (old run
-        journals carry them) are ignored.
+        a session total.  Other sections are ignored.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.increment(name, value)

@@ -1,7 +1,7 @@
 """Worker pools: sharded execution that cooperates with ExecutionContext.
 
 Every hot loop in the library — the SpMM factor steps, the blocked top-k
-scans, the independent sweep cells, batched index queries — decomposes
+scans, batched index queries — decomposes
 into *shards* whose results are merged deterministically.  This module
 provides the one pool abstraction they all share:
 

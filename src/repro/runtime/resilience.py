@@ -1,13 +1,9 @@
-"""Resilience primitives: retries, checkpoints, and fault injection.
+"""Resilience primitives: checkpoints and fault injection.
 
-A billion-scale factor build or a multi-hour sweep *will* be interrupted —
-OOM kills, preemption, bad input.  This module turns those interruptions
-from total losses into bounded ones:
+A billion-scale factor build *will* be interrupted — OOM kills,
+preemption, bad input.  This module turns those interruptions from total
+losses into bounded ones:
 
-* :class:`RetryPolicy` — exponential backoff with deterministic seeded
-  jitter and a transient-vs-fatal classification built on the
-  :class:`repro.runtime.errors.BudgetExceeded` hierarchy, so an I/O hiccup
-  is retried while an exhausted budget or a cancellation is not;
 * :class:`CheckpointManager` — numbered, checksummed snapshots written via
   :func:`atomic_write` (sibling temp file + ``os.replace``), with
   latest-*valid*-snapshot discovery that skips corrupt files instead of
@@ -17,9 +13,8 @@ from total losses into bounded ones:
   threaded through every compute loop, so tests can kill a run at exactly
   checkpoint *n* (or with a seeded probability) and assert recovery.
 
-All three are deliberately dependency-free above :mod:`repro.runtime`:
-the core solver, the experiment harness, the index and the mmap-CSR
-graphs all build on them.
+Both are deliberately dependency-free above :mod:`repro.runtime`: the
+core solver, the index and the mmap-CSR graphs build on them.
 """
 
 from __future__ import annotations
@@ -31,40 +26,28 @@ import math
 import os
 import random
 import struct
-import time
 import warnings
 import zipfile
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, BinaryIO, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.runtime.errors import (
-    BudgetExceeded,
-    Cancelled,
-    CorruptArtifactError,
-    DeadlineExceeded,
-    InjectedFault,
-    MemoryBudgetExceeded,
-    TransientError,
-)
+from repro.runtime.errors import CorruptArtifactError, InjectedFault
 from repro.runtime.parallel import WorkerPool
 
 __all__ = [
     "Checkpoint",
     "CheckpointManager",
     "FaultInjector",
-    "RetryPolicy",
     "atomic_write",
     "content_checksum",
     "read_npz",
     "write_npz",
 ]
-
-_T = TypeVar("_T")
 
 
 # ----------------------------------------------------------------------
@@ -436,106 +419,6 @@ def _read_member(
     if crc != info.CRC:
         raise ValueError(f"bad CRC-32 for {info.filename}")
     return array
-
-
-# ----------------------------------------------------------------------
-# Retry policy
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with deterministic seeded jitter.
-
-    Classification rides the structured error hierarchy: subclasses of
-    :class:`repro.runtime.errors.TransientError` (including injected
-    faults) and plain ``OSError`` are *transient* — worth retrying —
-    while cancellation, exhausted budgets (deterministic under the same
-    limits), corrupt artifacts, and programming errors are *fatal* and
-    surface immediately.  Set ``retry_budget_failures=True`` to also
-    retry deadline / memory breaches (useful on shared machines where a
-    breach may be load-induced rather than intrinsic).
-
-    Jitter is decorrelated but *deterministic*: attempt ``i`` under seed
-    ``s`` always backs off the same amount, so resilience tests replay
-    exactly.
-
-    Examples
-    --------
-    >>> policy = RetryPolicy(max_attempts=3, base_delay=0.5, seed=7)
-    >>> [round(policy.delay(i), 3) == round(policy.delay(i), 3) for i in (1, 2)]
-    [True, True]
-    >>> policy.is_transient(OSError("disk hiccup"))
-    True
-    >>> policy.is_transient(ValueError("bad input"))
-    False
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.1
-    multiplier: float = 2.0
-    max_delay: float = 30.0
-    jitter: float = 0.5
-    seed: int = 0
-    retry_budget_failures: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (1-based), jitter included."""
-        if attempt < 1:
-            raise ValueError(f"attempt must be >= 1, got {attempt}")
-        base = min(self.base_delay * self.multiplier ** (attempt - 1), self.max_delay)
-        if self.jitter == 0.0 or base == 0.0:
-            return base
-        rng = random.Random(f"{self.seed}:{attempt}")
-        return base * (1.0 - self.jitter * rng.random())
-
-    def is_transient(self, exc: BaseException) -> bool:
-        """Whether ``exc`` is worth retrying under this policy."""
-        if isinstance(exc, Cancelled):
-            return False
-        if isinstance(exc, (DeadlineExceeded, MemoryBudgetExceeded)):
-            return self.retry_budget_failures
-        if isinstance(exc, BudgetExceeded):
-            return False
-        if isinstance(exc, CorruptArtifactError):
-            return False
-        return isinstance(exc, (TransientError, OSError))
-
-    def call(
-        self,
-        fn: Callable[..., _T],
-        *args: Any,
-        what: str = "operation",
-        sleep: Callable[[float], None] = time.sleep,
-        on_retry: Callable[[int, BaseException], None] | None = None,
-        **kwargs: Any,
-    ) -> _T:
-        """Run ``fn`` with retries; fatal or exhausted failures re-raise.
-
-        ``on_retry(attempt, exc)`` fires before each backoff — callers
-        use it to log or to reset per-attempt state (e.g. point a solver
-        at its latest checkpoint).
-        """
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                return fn(*args, **kwargs)
-            except BaseException as exc:
-                if not self.is_transient(exc) or attempt >= self.max_attempts:
-                    raise
-                if on_retry is not None:
-                    on_retry(attempt, exc)
-                pause = self.delay(attempt)
-                if pause > 0.0:
-                    sleep(pause)
-        raise AssertionError("unreachable")  # pragma: no cover
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,8 @@ plus a bounded **structured event log**, and exports both:
   per-thread stacks never meet;
 * :meth:`Tracer.event` appends a JSONL-ready record (span id, name,
   severity, attributes) to a bounded log — the place for rare structured
-  facts (a rank-cap fallback engaging, a cell being quarantined) that
-  would be noise as spans;
+  facts (a rank-cap fallback engaging, a non-finite repair) that would
+  be noise as spans;
 * :meth:`Tracer.chrome_trace` renders the Chrome ``trace_event`` JSON
   format, loadable in Perfetto / ``chrome://tracing``;
 * :func:`summarize_trace` aggregates total/self time per span name into a

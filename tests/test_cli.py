@@ -85,34 +85,11 @@ class TestCLI:
             assert name in out
 
     def test_bound_runs(self, capsys):
-        exit_code = main(["bound", "--scale", "tiny"])
+        exit_code = main(["bound"])
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "Theorem 4.2" in out
         assert "NO" not in out  # the bound holds at every k
-
-    def test_spec_runs(self, capsys, tmp_path):
-        import json
-
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(
-            json.dumps(
-                {
-                    "name": "cli-spec-test",
-                    "datasets": ["HP"],
-                    "algorithms": ["GSim+"],
-                    "scale": "tiny",
-                    "iterations": 3,
-                    "query_size": 8,
-                }
-            )
-        )
-        csv_path = tmp_path / "out.csv"
-        exit_code = main(["spec", str(spec_path), "--export-csv", str(csv_path)])
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "cli-spec-test" in out
-        assert csv_path.read_text().startswith("algorithm,")
 
     def test_sim_command_block(self, capsys, tmp_path):
         graph_a = tmp_path / "a.txt"
@@ -153,3 +130,18 @@ class TestCLI:
         out = capsys.readouterr().out
         assert f"Figure {figure[3:]}" in out
         assert "GSim+" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--scale", "medium"],
+            ["accuracy", "-k", "99"],
+            ["topk", "--algorithms", "nonsense"],
+        ],
+        ids=["bound", "accuracy", "topk"],
+    )
+    def test_unread_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

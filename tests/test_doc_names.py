@@ -1,13 +1,17 @@
 """Every code name the documents cite must exist.
 
-Two kinds of reference are checked, one test per document:
+Three kinds of reference are checked, one test per document:
 
 * dotted names under the package (``repro.core.topk.scan_top_pairs``):
   the longest prefix that imports as a module is imported, and the rest
   is looked up as attributes;
 * backticked ``Class.member`` (inline or in a fenced block) whose
   ``Class`` is exported by some ``repro`` module's ``__all__``: the member
-  must be an attribute of that class.
+  must be an attribute of that class;
+* inline backticked bare CamelCase names, alone or followed by a call or
+  one ``.member`` (``GSimIndex``, ``SlowQueryLog(...)``,
+  ``ExecutionContext.operation``): the name must be defined by some
+  ``repro`` module, be a Python builtin, or be a test class.
 
 A failure lists every name that does not resolve, so a deletion that
 leaves a document citing the deleted code fails here.
@@ -15,6 +19,7 @@ leaves a document citing the deleted code fails here.
 
 from __future__ import annotations
 
+import builtins
 import importlib
 import inspect
 import pkgutil
@@ -36,16 +41,20 @@ _DOTTED = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
 _FENCE = re.compile(r"^\s*```.*?$(.*?)^\s*```", re.MULTILINE | re.DOTALL)
 _INLINE = re.compile(r"`([^`\n]+)`")
 _MEMBER = re.compile(r"(?<![\w.])([A-Z]\w*)\.([A-Za-z_]\w*)")
+_BARE = re.compile(r"([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?:\(.*\)|\.[A-Za-z_]\w*)?")
+_TEST_CLASS = re.compile(r"^class ([A-Za-z_]\w*)", re.MULTILINE)
+
+MODULES = [
+    importlib.import_module(name)
+    for name in ["repro"]
+    + [info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")]
+]
 
 
 def _exported_classes() -> dict[str, type]:
     """Every class some ``repro`` module lists in its ``__all__``."""
-    names = ["repro"] + [
-        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
-    ]
     classes: dict[str, type] = {}
-    for name in names:
-        module = importlib.import_module(name)
+    for module in MODULES:
         for export in getattr(module, "__all__", ()):
             value = getattr(module, export, None)
             if inspect.isclass(value):
@@ -54,6 +63,15 @@ def _exported_classes() -> dict[str, type]:
 
 
 CLASSES = _exported_classes()
+KNOWN_NAMES = (
+    {name for module in MODULES for name in vars(module)}
+    | set(dir(builtins))
+    | {
+        name
+        for path in (ROOT / "tests").glob("*.py")
+        for name in _TEST_CLASS.findall(path.read_text(encoding="utf-8"))
+    }
+)
 
 
 def _resolves_dotted(name: str) -> bool:
@@ -71,28 +89,37 @@ def _resolves_dotted(name: str) -> bool:
     return False
 
 
-def references(text: str) -> tuple[set[str], set[tuple[str, str]]]:
-    """The dotted ``repro`` names and the exported ``Class.member``
-    references in a document."""
+def references(
+    text: str,
+) -> tuple[set[str], set[tuple[str, str]], set[str]]:
+    """The dotted ``repro`` names, the exported ``Class.member``
+    references and the bare CamelCase names in a document."""
     dotted = set(_DOTTED.findall(text))
-    code = _FENCE.findall(text) + _INLINE.findall(_FENCE.sub("", text))
+    inline = _INLINE.findall(_FENCE.sub("", text))
+    code = _FENCE.findall(text) + inline
     members = {
         (cls, member)
         for span in code
         for cls, member in _MEMBER.findall(span)
         if cls in CLASSES
     }
-    return dotted, members
+    bare = {
+        match[1]
+        for match in map(_BARE.fullmatch, (span.strip() for span in inline))
+        if match
+    }
+    return dotted, members, bare
 
 
 def unresolved(text: str) -> list[str]:
-    dotted, members = references(text)
+    dotted, members, bare = references(text)
     missing = [name for name in sorted(dotted) if not _resolves_dotted(name)]
     missing += [
         f"{cls}.{member}"
         for cls, member in sorted(members)
         if not hasattr(CLASSES[cls], member)
     ]
+    missing += [name for name in sorted(bare) if name not in KNOWN_NAMES]
     return missing
 
 
@@ -109,12 +136,14 @@ def test_document_names_resolve(document):
 
 def test_checker_reports_missing_names():
     text = (
-        "`repro.core.batch.BatchQueryEngine` and `GSimIndex.top_pairs` exist;\n"
-        "`repro.core.nowhere`, `repro.core.batch.Nobody` and\n"
-        "```python\nindex = GSimIndex.nothing(1)\n```\ndo not.\n"
+        "`repro.core.batch.BatchQueryEngine`, `GSimIndex.top_pairs`,\n"
+        "`ValueError` and `TestCLI` exist;\n"
+        "`repro.core.nowhere`, `repro.core.batch.Nobody`, `NoSuchClass(k=3)`\n"
+        "and\n```python\nindex = GSimIndex.nothing(1)\n```\ndo not.\n"
     )
     assert unresolved(text) == [
         "repro.core.batch.Nobody",
         "repro.core.nowhere",
         "GSimIndex.nothing",
+        "NoSuchClass",
     ]

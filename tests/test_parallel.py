@@ -3,8 +3,8 @@
 Everything here carries the ``parallel`` marker; CI runs it as its own
 step with pinned BLAS thread counts.  The load-bearing claims:
 
-* every parallel path (factor steps, dense fallback, top-k scans, sweep
-  cells, batched queries) returns **bit-identical** results for
+* every parallel path (factor steps, dense fallback, top-k scans,
+  batched queries) returns **bit-identical** results for
   ``max_workers`` in {1, 2, 4};
 * cancellation and deadline expiry propagate out of worker threads as
   the same structured exceptions the serial path raises;
@@ -27,14 +27,6 @@ import repro.core.topk as topk
 from repro.core.embeddings import LowRankFactors
 from repro.core.gsim_plus import NUMERICAL_RANK_TOL, GSimPlus
 from repro.core.topk import scan_top_pairs, top_k_for_queries, top_k_pairs
-from repro.experiments.journal import RunJournal
-from repro.experiments.runner import (
-    ALGORITHMS,
-    AlgorithmSpec,
-    CellTask,
-    ExperimentConfig,
-    run_cells,
-)
 from repro.graphs.generators import erdos_renyi_graph, rmat_graph
 from repro.retrieval.index import GSimIndex
 from repro.runtime import (
@@ -49,9 +41,7 @@ from repro.runtime import (
     WorkerPool,
     parallel,
 )
-from repro.runtime.errors import TransientError
 from repro.runtime.parallel import shard_ranges, shard_rows_by_nnz
-from repro.runtime.resilience import RetryPolicy
 from repro.utils.memory import MemoryTracker
 
 pytestmark = pytest.mark.parallel
@@ -233,13 +223,6 @@ class TestFactorStepEquivalence:
         result = GSimPlus(graph_a, graph_b, max_workers=4).run(10)
         assert result.used_dense_fallback  # the regime the sharded dense step serves
 
-    def test_shard_cache_hits_counted(self, graph_pair):
-        graph_a, graph_b = graph_pair
-        context = ExecutionContext()
-        GSimPlus(graph_a, graph_b, max_workers=2).run(6, context=context)
-        counters = context.metrics.snapshot()["counters"]
-        assert counters["gsim_plus.transpose_cache_hits"] > 0
-
     def test_serial_steps_run_inline(self, graph_pair):
         """A serial solver runs every step's chunk tasks inline: no pool
         metrics or spans, and one checkpoint per iteration, through both
@@ -415,88 +398,3 @@ class TestServingEquivalence:
             assert index.top_pairs(k=20, block_rows=block_rows) == reference
 
 
-# ----------------------------------------------------------------------
-# Sweep cells
-# ----------------------------------------------------------------------
-def _tiny_tasks(graph_pair, algorithms=("GSim+", "GSim")):
-    graph_a, graph_b = graph_pair
-    queries_a = np.arange(8)
-    queries_b = np.arange(8)
-    return [
-        CellTask(
-            ALGORITHMS[name], graph_a, graph_b, queries_a, queries_b,
-            iterations=4, dataset=f"cell-{name}",
-        )
-        for name in algorithms
-    ]
-
-
-def _comparable(record):
-    return (record.algorithm, record.dataset, record.outcome, record.params)
-
-
-class TestSweepEquivalence:
-    def test_run_cells_identical_outcomes(self, graph_pair):
-        tasks = _tiny_tasks(graph_pair)
-        serial = run_cells(tasks, ExperimentConfig(max_workers=1))
-        for workers in WORKER_COUNTS[1:]:
-            parallel = run_cells(tasks, ExperimentConfig(max_workers=workers))
-            assert [_comparable(r) for r in parallel] == [
-                _comparable(r) for r in serial
-            ]
-
-    def test_run_cells_journal_replay_composes(self, graph_pair, tmp_path):
-        tasks = _tiny_tasks(graph_pair)
-        journal = RunJournal(tmp_path / "journal.jsonl")
-        config = ExperimentConfig(max_workers=2, journal=journal)
-        first = run_cells(tasks, config)
-        assert journal.hits == 0
-        resumed = RunJournal(tmp_path / "journal.jsonl", resume=True)
-        config2 = ExperimentConfig(max_workers=2, journal=resumed)
-        second = run_cells(tasks, config2)
-        assert resumed.hits == len(tasks)
-        assert [_comparable(r) for r in second] == [_comparable(r) for r in first]
-
-    def test_run_cells_retry_quarantine_composes(self, graph_pair):
-        def _always_transient(*args, **kwargs):
-            raise TransientError("flaky cell")
-
-        flaky = AlgorithmSpec(
-            name="Flaky",
-            run=_always_transient,
-            cost_model="gsim+",
-            units_per_second=1e8,
-        )
-        graph_a, graph_b = graph_pair
-        tasks = [
-            CellTask(
-                flaky, graph_a, graph_b, np.arange(4), np.arange(4),
-                iterations=2, dataset=f"flaky-{i}",
-            )
-            for i in range(3)
-        ]
-        tracer = Tracer()
-        context = ExecutionContext(tracer=tracer)
-        config = ExperimentConfig(
-            max_workers=2,
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
-            context=context,
-        )
-        records = run_cells(tasks, config)
-        assert [record.outcome.value for record in records] == ["error"] * 3
-        assert all(record.attempts == 2 for record in records)
-        assert all("quarantined" in record.note for record in records)
-        assert context.metrics.counter("sweep.quarantined") == 3
-        assert context.metrics.counter("sweep.cells") == 3
-        # Cells ran on worker threads, yet nest under the sweep's root.
-        (root,) = [s for s in tracer.spans() if s.name == "sweep.run"]
-        cells = [s for s in tracer.spans() if s.name == "sweep.cell"]
-        assert len(cells) == 3
-        assert all(cell.parent_id == root.span_id for cell in cells)
-
-    def test_parallel_cells_report_ledger_memory(self, graph_pair):
-        tasks = _tiny_tasks(graph_pair)
-        records = run_cells(tasks, ExperimentConfig(max_workers=2))
-        for record in records:
-            assert record.ok
-            assert record.memory_bytes is not None and record.memory_bytes > 0

@@ -1,4 +1,4 @@
-"""Resilience layer: retries, checkpoints, fault injection, corruption.
+"""Resilience layer: checkpoints, fault injection, corruption.
 
 The crash/resume tests are the heart of this file: a fault-injected kill
 at iteration *k* followed by a resume must produce **bit-identical**
@@ -20,27 +20,13 @@ import pytest
 
 from repro.core.embeddings import LowRankFactors
 from repro.core.gsim_plus import GSimPlus, gsim_plus
-from repro.experiments.journal import RunJournal
-from repro.experiments.runner import (
-    AlgorithmSpec,
-    Outcome,
-    cell_key,
-    run_algorithm,
-)
 from repro.graphs import Graph
 from repro.retrieval.index import GSimIndex
 from repro.runtime import ExecutionContext, Metrics, parallel, resilience
-from repro.runtime.errors import (
-    Cancelled,
-    CorruptArtifactError,
-    DeadlineExceeded,
-    InjectedFault,
-    TransientError,
-)
+from repro.runtime.errors import CorruptArtifactError, InjectedFault
 from repro.runtime.resilience import (
     CheckpointManager,
     FaultInjector,
-    RetryPolicy,
     atomic_write,
     content_checksum,
     read_npz,
@@ -354,83 +340,6 @@ class TestWriteNpz:
             peaks.append(tracker.peak_bytes)
             del member
         assert peaks[1] <= peaks[0] + (2 << 20), peaks
-
-
-# ----------------------------------------------------------------------
-# RetryPolicy
-# ----------------------------------------------------------------------
-class TestRetryPolicy:
-    def test_delay_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(base_delay=0.5, multiplier=2.0, max_delay=4.0, seed=9)
-        delays = [policy.delay(i) for i in (1, 2, 3, 4, 5, 6)]
-        assert delays == [policy.delay(i) for i in (1, 2, 3, 4, 5, 6)]
-        assert all(0.0 < d <= 4.0 for d in delays)
-
-    def test_different_seeds_jitter_differently(self):
-        a = RetryPolicy(seed=1).delay(1)
-        b = RetryPolicy(seed=2).delay(1)
-        assert a != b
-
-    def test_classification(self):
-        policy = RetryPolicy()
-        assert policy.is_transient(TransientError("hiccup"))
-        assert policy.is_transient(InjectedFault("chaos", checkpoint_number=1))
-        assert policy.is_transient(OSError("disk"))
-        assert not policy.is_transient(ValueError("bad input"))
-        assert not policy.is_transient(Cancelled("stop"))
-        assert not policy.is_transient(DeadlineExceeded("too slow"))
-        assert not policy.is_transient(CorruptArtifactError("bad", path="x"))
-
-    def test_budget_failures_opt_in(self):
-        policy = RetryPolicy(retry_budget_failures=True)
-        assert policy.is_transient(DeadlineExceeded("load spike"))
-        assert not policy.is_transient(Cancelled("stop"))
-
-    def test_call_retries_then_succeeds(self):
-        attempts = []
-        sleeps = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise TransientError("not yet")
-            return "done"
-
-        policy = RetryPolicy(max_attempts=3, base_delay=0.25, seed=0)
-        result = policy.call(flaky, what="flaky", sleep=sleeps.append)
-        assert result == "done"
-        assert len(attempts) == 3
-        assert sleeps == [policy.delay(1), policy.delay(2)]
-
-    def test_call_reraises_fatal_immediately(self):
-        attempts = []
-
-        def broken():
-            attempts.append(1)
-            raise ValueError("programming error")
-
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=5).call(broken, sleep=lambda _: None)
-        assert len(attempts) == 1
-
-    def test_call_exhaustion_reraises(self):
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0)
-        with pytest.raises(TransientError):
-            policy.call(
-                lambda: (_ for _ in ()).throw(TransientError("always")),
-                sleep=lambda _: None,
-            )
-
-    def test_on_retry_callback(self):
-        seen = []
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0)
-        with pytest.raises(TransientError):
-            policy.call(
-                lambda: (_ for _ in ()).throw(TransientError("x")),
-                sleep=lambda _: None,
-                on_retry=lambda attempt, exc: seen.append(attempt),
-            )
-        assert seen == [1]
 
 
 # ----------------------------------------------------------------------
@@ -854,243 +763,13 @@ class TestSegmentCorruption:
 
 
 # ----------------------------------------------------------------------
-# Run journal + resumable sweeps
-# ----------------------------------------------------------------------
-def _counting_spec(counter):
-    """A fast fake algorithm that counts real executions."""
-
-    def run(graph_a, graph_b, queries_a, queries_b, iterations, context=None):
-        counter.append(1)
-        return np.zeros((len(queries_a), len(queries_b)))
-
-    return AlgorithmSpec(
-        name="GSim+", run=run, cost_model="gsim+", units_per_second=1e8
-    )
-
-
-class TestRunJournal:
-    @staticmethod
-    def _pair():
-        a = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)], name="a")
-        b = Graph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)], name="b")
-        return a, b, np.arange(3), np.arange(2)
-
-    def test_roundtrip_and_replay(self, tmp_path):
-        a, b, qa, qb = self._pair()
-        path = tmp_path / "journal.jsonl"
-        executions: list[int] = []
-        spec = _counting_spec(executions)
-
-        journal = RunJournal(path)
-        first = run_algorithm(spec, a, b, qa, qb, 3, journal=journal)
-        assert first.ok and len(executions) == 1
-
-        resumed = RunJournal(path, resume=True)
-        assert len(resumed) == 1
-        replayed = run_algorithm(spec, a, b, qa, qb, 3, journal=resumed)
-        assert len(executions) == 1, "journalled cell must not re-execute"
-        assert resumed.hits == 1
-        assert replayed.to_dict() == first.to_dict()
-
-    def test_only_missing_cells_execute(self, tmp_path):
-        a, b, qa, qb = self._pair()
-        path = tmp_path / "journal.jsonl"
-        executions: list[int] = []
-        spec = _counting_spec(executions)
-
-        journal = RunJournal(path)
-        run_algorithm(spec, a, b, qa, qb, 3, journal=journal)  # cell k=3
-        # Interrupted here: cell k=4 never ran.  Resume the sweep.
-        resumed = RunJournal(path, resume=True)
-        for iterations in (3, 4):
-            run_algorithm(spec, a, b, qa, qb, iterations, journal=resumed)
-        assert len(executions) == 2, "resume must execute only the missing cell"
-        assert resumed.hits == 1
-        assert len(resumed) == 2
-
-    def test_fresh_run_truncates(self, tmp_path):
-        a, b, qa, qb = self._pair()
-        path = tmp_path / "journal.jsonl"
-        executions: list[int] = []
-        spec = _counting_spec(executions)
-        run_algorithm(spec, a, b, qa, qb, 3, journal=RunJournal(path))
-        fresh = RunJournal(path, resume=False)
-        assert len(fresh) == 0
-        run_algorithm(spec, a, b, qa, qb, 3, journal=fresh)
-        assert len(executions) == 2
-
-    def test_torn_line_skipped_with_warning(self, tmp_path):
-        a, b, qa, qb = self._pair()
-        path = tmp_path / "journal.jsonl"
-        executions: list[int] = []
-        spec = _counting_spec(executions)
-        journal = RunJournal(path)
-        run_algorithm(spec, a, b, qa, qb, 3, journal=journal)
-        run_algorithm(spec, a, b, qa, qb, 4, journal=journal)
-        # Tear the final line, as a kill mid-append would.
-        torn = path.read_text(encoding="utf-8").rstrip("\n")[:-30]
-        path.write_text(torn + "\n", encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="corrupt journal line"):
-            resumed = RunJournal(path, resume=True)
-        assert len(resumed) == 1
-        assert resumed.skipped_lines == 1
-
-    def test_legacy_timer_and_series_snapshot_replays(self, tmp_path):
-        """A journal line written before the timer and series metric
-        kinds were removed still replays, and its metrics merge into the
-        sweep context without those two sections."""
-        import json
-
-        from repro.experiments.journal import _line_checksum
-
-        a, b, qa, qb = self._pair()
-        path = tmp_path / "journal.jsonl"
-        executions: list[int] = []
-        spec = _counting_spec(executions)
-        run_algorithm(spec, a, b, qa, qb, 3, journal=RunJournal(path))
-        # Rewrite the line as the older code wrote it.
-        entry = json.loads(path.read_text(encoding="utf-8"))
-        del entry["checksum"]
-        entry["record"]["metrics"] = {
-            "counters": {"gsim_plus.iterations": 3},
-            "gauges": {"memory.peak_bytes": 1024},
-            "histograms": {},
-            "timers": {"cli.accuracy": {"seconds": 0.5, "calls": 1}},
-            "series": {"gsim_plus.width": [1, 2, 4, 4]},
-        }
-        entry["checksum"] = _line_checksum(entry)
-        path.write_text(json.dumps(entry, sort_keys=True) + "\n", encoding="utf-8")
-
-        context = ExecutionContext()
-        replayed = run_algorithm(
-            spec, a, b, qa, qb, 3,
-            journal=RunJournal(path, resume=True), context=context,
-        )
-        assert len(executions) == 1, "the legacy cell must replay, not execute"
-        assert replayed.ok
-        assert context.snapshot() == {
-            "counters": {"gsim_plus.iterations": 3, "sweep.cells": 1},
-            "gauges": {"memory.peak_bytes": 1024},
-            "histograms": {},
-        }
-
-    def test_cell_key_distinguishes_axes(self):
-        a, b, qa, qb = self._pair()
-        params = {"n_a": 6, "n_b": 4, "k": 3}
-        assert cell_key("GSim+", "EE", params) != cell_key(
-            "GSim+", "EE", {**params, "k": 4}
-        )
-        assert cell_key("GSim+", "EE", params) != cell_key("GSim", "EE", params)
-
-
-@pytest.mark.faults
-class TestRetryAndQuarantine:
-    @staticmethod
-    def _pair():
-        a = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)], name="a")
-        b = Graph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)], name="b")
-        return a, b, np.arange(3), np.arange(2)
-
-    def test_transient_failure_retried_to_success(self):
-        a, b, qa, qb = self._pair()
-        calls: list[int] = []
-
-        def flaky(graph_a, graph_b, queries_a, queries_b, iterations, context=None):
-            calls.append(1)
-            if len(calls) < 2:
-                raise TransientError("transient hiccup")
-            return np.zeros((len(queries_a), len(queries_b)))
-
-        spec = AlgorithmSpec(
-            name="GSim+", run=flaky, cost_model="gsim+", units_per_second=1e8
-        )
-        record = run_algorithm(
-            spec, a, b, qa, qb, 3,
-            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0),
-        )
-        assert record.ok
-        assert record.attempts == 2
-        assert len(calls) == 2
-
-    def test_persistent_failure_quarantined(self):
-        a, b, qa, qb = self._pair()
-        calls: list[int] = []
-
-        def broken(graph_a, graph_b, queries_a, queries_b, iterations, context=None):
-            calls.append(1)
-            raise TransientError("always down")
-
-        spec = AlgorithmSpec(
-            name="GSim+", run=broken, cost_model="gsim+", units_per_second=1e8
-        )
-        record = run_algorithm(
-            spec, a, b, qa, qb, 3,
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
-        )
-        assert record.outcome is Outcome.ERROR
-        assert record.attempts == 2
-        assert "quarantined after 2 attempts" in record.note
-        assert len(calls) == 2
-
-    def test_fatal_failure_raises_through(self):
-        a, b, qa, qb = self._pair()
-
-        def broken(graph_a, graph_b, queries_a, queries_b, iterations, context=None):
-            raise KeyError("programming error")
-
-        spec = AlgorithmSpec(
-            name="GSim+", run=broken, cost_model="gsim+", units_per_second=1e8
-        )
-        with pytest.raises(KeyError):
-            run_algorithm(
-                spec, a, b, qa, qb, 3,
-                retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0),
-            )
-
-    def test_quarantine_is_journalled(self, tmp_path):
-        a, b, qa, qb = self._pair()
-
-        def broken(graph_a, graph_b, queries_a, queries_b, iterations, context=None):
-            raise TransientError("always down")
-
-        spec = AlgorithmSpec(
-            name="GSim+", run=broken, cost_model="gsim+", units_per_second=1e8
-        )
-        path = tmp_path / "journal.jsonl"
-        run_algorithm(
-            spec, a, b, qa, qb, 3,
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
-            journal=RunJournal(path),
-        )
-        resumed = RunJournal(path, resume=True)
-        assert len(resumed) == 1
-        record = resumed.get(resumed.keys[0])
-        assert record is not None and record.outcome is Outcome.ERROR
-
-
-# ----------------------------------------------------------------------
 # CLI integration
 # ----------------------------------------------------------------------
 class TestResilienceCLI:
-    def test_resume_requires_checkpoint_dir(self, capsys):
+    def test_resume_requires_checkpoint_dir(self, capsys, tmp_path):
         from repro.cli import main
 
-        with pytest.raises(SystemExit) as info:
-            main(["fig3", "--scale", "tiny", "--resume"])
-        assert info.value.code == 2
+        edges = tmp_path / "g.txt"
+        edges.write_text("0 1\n1 2\n2 0\n")
+        assert main(["sim", str(edges), str(edges), "--resume"]) == 2
         assert "--resume requires --checkpoint-dir" in capsys.readouterr().err
-
-    @pytest.mark.faults
-    def test_interrupted_sweep_resumes_without_rerunning(self, tmp_path, capsys):
-        from repro.cli import main
-
-        argv = [
-            "fig3", "--scale", "tiny", "--algorithms", "GSim+",
-            "--checkpoint-dir", str(tmp_path),
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert "0/5 cells replayed" in first
-        assert main(argv + ["--resume"]) == 0
-        second = capsys.readouterr().out
-        assert "5/5 cells replayed" in second

@@ -5,13 +5,16 @@ import pytest
 
 from repro.experiments import (
     ALGORITHMS,
+    AlgorithmSpec,
     Deadline,
     MemoryBudget,
     Outcome,
+    cell_key,
     run_algorithm,
 )
 from repro.experiments.runner import instance_params
 from repro.graphs import erdos_renyi_graph, random_node_sample
+from repro.runtime import ExecutionContext
 
 
 @pytest.fixture
@@ -107,3 +110,35 @@ class TestRunAlgorithm:
             ALGORITHMS["RSim"], *instance, 2, deadline=Deadline(limit_seconds=30)
         )
         assert record.outcome in (Outcome.OK, Outcome.TIMEOUT)
+
+    def test_fatal_failure_raises_through(self, instance):
+        def broken(graph_a, graph_b, queries_a, queries_b, iterations, context=None):
+            raise KeyError("programming error")
+
+        spec = AlgorithmSpec(
+            name="GSim+", run=broken, cost_model="gsim+", units_per_second=1e8
+        )
+        with pytest.raises(KeyError):
+            run_algorithm(spec, *instance, 3)
+
+    def test_error_outcome_counted_in_sweep_errors(self, instance):
+        def degenerate(graph_a, graph_b, queries_a, queries_b, iterations, context=None):
+            raise ZeroDivisionError("the iterate collapsed")
+
+        spec = AlgorithmSpec(
+            name="GSim+", run=degenerate, cost_model="gsim+", units_per_second=1e8
+        )
+        context = ExecutionContext()
+        record = run_algorithm(spec, *instance, 3, context=context)
+        assert record.outcome is Outcome.ERROR
+        run_algorithm(ALGORITHMS["GSim+"], *instance, 3, context=context)
+        assert context.metrics.counter("sweep.cells") == 2
+        assert context.metrics.counter("sweep.errors") == 1
+
+
+def test_cell_key_distinguishes_axes():
+    params = {"n_a": 6, "n_b": 4, "k": 3}
+    assert cell_key("GSim+", "EE", params) != cell_key(
+        "GSim+", "EE", {**params, "k": 4}
+    )
+    assert cell_key("GSim+", "EE", params) != cell_key("GSim", "EE", params)

@@ -18,7 +18,8 @@ import pytest
 from repro.cli import main
 from repro.core import top_k_pairs
 from repro.core.gsim_plus import gsim_plus
-from repro.experiments.spec import ExperimentSpec, run_spec
+from repro.experiments import ExperimentConfig
+from repro.experiments.figures import fig3_time_vs_k
 from repro.graphs import Graph
 from repro.retrieval import GSimIndex
 from repro.runtime import (
@@ -391,13 +392,12 @@ class TestTracedIndex:
 
 class TestTracedSweep:
     def test_sweep_spans_nest_and_account_for_wall_time(self):
-        spec = ExperimentSpec(
-            name="traced", datasets=("EE",), algorithms=("GSim+",),
-            scale="tiny", iterations=3,
-        )
         tracer = Tracer()
-        records = run_spec(spec, context=ExecutionContext(tracer=tracer))
-        assert records
+        config = ExperimentConfig(
+            scale="tiny", context=ExecutionContext(tracer=tracer)
+        )
+        records = fig3_time_vs_k(config, k_values=(2, 3), algorithms=("GSim+",))
+        assert len(records) == 2
         spans = tracer.spans()
         (root,) = [s for s in spans if s.name == "sweep.run"]
         cells = [s for s in spans if s.name == "sweep.cell"]
@@ -431,7 +431,9 @@ class TestTracedCli:
         names = {e["name"] for e in payload["traceEvents"] if e["ph"] == "X"}
         assert {"sweep.run", "sweep.cell", "gsim_plus.iterate"} <= names
         metrics = json.loads(metrics_path.read_text())
-        assert set(metrics) == {"counters", "gauges", "histograms"}
+        assert set(metrics) == {
+            "counters", "gauges", "histograms", "peak_rss_bytes", "slow_queries"
+        }
         assert metrics["counters"]["sweep.cells"] == len(
             [e for e in payload["traceEvents"] if e["name"] == "sweep.cell"]
         )
