@@ -407,7 +407,26 @@ class TestCliTelemetry:
         assert verdict["ok"] is True
         assert f"metrics written to {path}" in capsys.readouterr().out
 
-    def test_slo_violation_exit_code(self, capsys):
+    def test_slo_violation_exit_code(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "run.json"
+        code = main([
+            "topk", "--scale", "tiny", "--top", "3",
+            "--metrics", str(path),
+            "--slo", "max(topk.scan_pairs_seconds) < 1us",
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "VIOLATED" in captured.out
+        assert "SLO violated" in captured.err
+        # A violated objective still leaves its record, verdict included.
+        (verdict,) = json.loads(path.read_text())["slo"]
+        assert verdict["slo"] == "max(topk.scan_pairs_seconds) < 1us"
+        assert verdict["ok"] is False
+
+    def test_slo_without_telemetry_dir(self, capsys):
+        """With no output path at all, the objectives are still judged."""
         from repro.cli import main
 
         code = main([
@@ -417,7 +436,7 @@ class TestCliTelemetry:
         assert code == 3
         captured = capsys.readouterr()
         assert "VIOLATED" in captured.out
-        assert "SLO violated" in captured.err
+        assert "metrics written" not in captured.out
 
     def test_slo_on_unrecorded_metric_warns(self, capsys):
         from repro.cli import main
